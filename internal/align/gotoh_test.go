@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,32 +115,64 @@ func TestGotohPrefersContiguousGaps(t *testing.T) {
 	}
 }
 
-func TestGotohNeverWorseThanNWOnGapRuns(t *testing.T) {
-	// Property: with equal total weights, the affine aligner produces at
-	// most as many gap runs as plain NW on the same input (that is its
-	// purpose for merging: fewer diamonds).
-	f := func(aRaw, bRaw []byte) bool {
-		a, b := aRaw, bRaw
+// gotohVsNWCase checks the sound form of "affine is never worse than NW":
+// Gotoh is optimal under its own scoring, so its path scores at least as
+// well as NW's path re-scored under the same affine scheme, and exactly as
+// well as the exhaustive optimum. Symbols compare modulo 4, so random bytes
+// produce plenty of matches.
+func gotohVsNWCase(a, b []byte, sc AffineScoring) error {
+	eq := func(i, j int) bool { return a[i]%4 == b[j]%4 }
+	nw := NeedlemanWunsch(len(a), len(b), eq, DefaultScoring)
+	gt := Gotoh(len(a), len(b), eq, sc)
+	if !Validate(gt, len(a), len(b)) {
+		return fmt.Errorf("invalid gotoh alignment %v", gt)
+	}
+	got, nwScore := AffineScore(gt, sc), AffineScore(nw, sc)
+	if got < nwScore {
+		return fmt.Errorf("gotoh affine score %d below NW path's %d", got, nwScore)
+	}
+	mod4 := func(x []byte) string {
+		out := make([]byte, len(x))
+		for i, c := range x {
+			out[i] = 'a' + c%4
+		}
+		return string(out)
+	}
+	if want := slowAffineScore(mod4(a), mod4(b), sc); got != want {
+		return fmt.Errorf("gotoh affine score %d, exhaustive optimum %d", got, want)
+	}
+	return nil
+}
+
+// TestGotohScoresAtLeastNWPath replaces an earlier claim that Gotoh never
+// produces more than one extra gap run than NW after mismatch
+// decomposition. That claim is false — fewer gap runs is what affine
+// penalties favour, not what they guarantee once mismatches are split into
+// gap pairs — and the pinned case below refutes it (6 runs against NW's
+// 4) while Gotoh still scores better (-8 against -9). The property checked
+// instead is optimality, on seeded random inputs.
+func TestGotohScoresAtLeastNWPath(t *testing.T) {
+	sc := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1}
+	pinnedA := []byte{0, 2, 2, 1, 1, 3, 2, 3, 0, 1, 2}
+	pinnedB := []byte{0, 3, 0, 3, 2, 3, 1, 0, 2, 3, 2, 1, 2, 3, 2, 3, 3, 2}
+	if err := gotohVsNWCase(pinnedA, pinnedB, sc); err != nil {
+		t.Fatalf("pinned case: %v", err)
+	}
+	f := func(a, b []byte) bool {
 		if len(a) > 40 {
 			a = a[:40]
 		}
 		if len(b) > 40 {
 			b = b[:40]
 		}
-		eq := func(i, j int) bool { return a[i]%4 == b[j]%4 }
-		nw := DecomposeMismatches(NeedlemanWunsch(len(a), len(b), eq, DefaultScoring))
-		gt := DecomposeMismatches(Gotoh(len(a), len(b), eq, AffineScoring{
-			Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1,
-		}))
-		if !Validate(gt, len(a), len(b)) {
+		if err := gotohVsNWCase(a, b, sc); err != nil {
+			t.Logf("a=%v b=%v: %v", a, b, err)
 			return false
 		}
-		// Soft property: affine should not fragment more than NW by a
-		// large margin (exact dominance does not hold for arbitrary
-		// scorings, so allow +1).
-		return GapRuns(gt) <= GapRuns(nw)+1
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(12))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
 }

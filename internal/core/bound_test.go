@@ -185,6 +185,131 @@ entry:
   call void @sink(i64 %p)
   ret void
 }
+` + demotionIR
+
+// demotionIR adds the shapes the demotion and branch floors reason about:
+// gap-defined values read by matched columns (demoted: a store plus a load
+// per read), including across a reconvergence and by an invoke whose store
+// lands on a split normal edge; a reading block that exists only in
+// unreachable code of the other function; a landingpad pair demoted to
+// gaps; and func_id diamonds whose sides are empty or end in a terminator,
+// where no reconvergence branch provably survives cleanup.
+const demotionIR = `
+declare i64 @wide(i64)
+
+define internal i32 @cross1(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %g = mul i32 %a, 9
+  %b = sub i32 %a, 2
+  %c = xor i32 %b, 5
+  %h = add i32 %g, %c
+  %z = or i32 %g, %h
+  ret i32 %z
+}
+
+define internal i32 @cross2(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %b = sub i32 %a, 2
+  %c = xor i32 %b, 5
+  %k = shl i32 %c, 1
+  %h = add i32 %k, %c
+  ret i32 %h
+}
+
+define internal i32 @unr1(i32 %x) {
+entry:
+  %a = add i32 %x, 3
+  %g = mul i32 %a, 5
+  %r = add i32 %g, %a
+  ret i32 %r
+}
+
+define internal i32 @unr2(i32 %x) {
+entry:
+  %a = add i32 %x, 3
+  %r = sdiv i32 %a, 7
+  ret i32 %r
+dead:
+  %g = mul i32 %a, 5
+  %d = add i32 %g, %a
+  ret i32 %d
+}
+
+define internal i32 @inv1(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %r = invoke i32 @ext1(i32 %a) to label %ok unwind label %lpad
+ok:
+  %s = add i32 %r, %a
+  ret i32 %s
+lpad:
+  %lp = landingpad cleanup
+  ret i32 -1
+}
+
+define internal i32 @inv2(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %w = sext i32 %a to i64
+  %r = invoke i64 @wide(i64 %w) to label %ok unwind label %lpad
+ok:
+  %n = trunc i64 %r to i32
+  %s = add i32 %n, %a
+  ret i32 %s
+lpad:
+  %lp = landingpad cleanup
+  ret i32 -1
+}
+
+define internal i64 @pad1(i64 %x) {
+entry:
+  invoke void @throw() to label %ok unwind label %lpad
+ok:
+  %r = add i64 %x, 1
+  ret i64 %r
+lpad:
+  %lp = landingpad cleanup
+  call void @sink(i64 %x)
+  call void @sink(i64 %x)
+  call void @sink(i64 %x)
+  ret i64 -1
+}
+
+define internal i64 @pad2(i64 %x) {
+entry:
+  invoke void @throw() to label %ok unwind label %lpad
+ok:
+  %r = add i64 %x, 1
+  ret i64 %r
+lpad:
+  %lp = landingpad cleanup
+  %y = mul i64 %x, 3
+  ret i64 %y
+}
+
+define internal i32 @dia1(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %b = mul i32 %a, 3
+  %c = sub i32 %b, 4
+  ret i32 %c
+}
+
+define internal i32 @dia2(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %e = ashr i32 %a, 2
+  %b = mul i32 %a, 3
+  %c = sub i32 %b, 4
+  %d = icmp eq i32 %c, 0
+  br i1 %d, label %t, label %f
+t:
+  ret i32 %e
+f:
+  ret i32 %c
+}
 `
 
 // TestBoundAdmissibilityAdversarial runs the pairwise audit over IR chosen

@@ -63,6 +63,20 @@ func (t *Timings) AddCodeGen(d time.Duration) {
 	atomic.AddInt64((*int64)(&t.CodeGen), int64(d))
 }
 
+// TimeCodeGen runs fn and accumulates its wall-clock time into CodeGen. It
+// serves callers outside Merge that price or discard a merged function —
+// the tail of code generation — so that time lands in the Fig. 13 phase
+// instead of in no phase. A nil receiver just runs fn.
+func (t *Timings) TimeCodeGen(fn func()) {
+	if t == nil {
+		fn()
+		return
+	}
+	start := time.Now()
+	fn()
+	t.AddCodeGen(time.Since(start))
+}
+
 // AddAlignCells atomically accumulates computed DP cells.
 func (t *Timings) AddAlignCells(n int64) {
 	atomic.AddInt64(&t.AlignCells, n)

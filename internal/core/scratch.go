@@ -41,9 +41,11 @@ var scratchPool = sync.Pool{
 // past this size the map is dropped and reallocated small instead.
 const scratchMapMax = 1 << 10
 
-func recycleVmap(m map[ir.Value]ir.Value) map[ir.Value]ir.Value {
+// recycleMap clears m for reuse, or replaces it with a fresh small map
+// once it outgrew scratchMapMax.
+func recycleMap[K comparable, V any](m map[K]V) map[K]V {
 	if len(m) > scratchMapMax {
-		return make(map[ir.Value]ir.Value)
+		return make(map[K]V)
 	}
 	clear(m)
 	return m
@@ -61,13 +63,9 @@ func getScratch() *mergerScratch {
 // arena slabs. Only call when every instruction the arena handed out is
 // dead (the discarded-merge path).
 func putScratch(s *mergerScratch) {
-	s.vmap1 = recycleVmap(s.vmap1)
-	s.vmap2 = recycleVmap(s.vmap2)
-	if len(s.dispatch) > scratchMapMax {
-		s.dispatch = make(map[[2]*ir.Block]*ir.Block)
-	} else {
-		clear(s.dispatch)
-	}
+	s.vmap1 = recycleMap(s.vmap1)
+	s.vmap2 = recycleMap(s.vmap2)
+	s.dispatch = recycleMap(s.dispatch)
 	clear(s.cols) // drop Inst references before pooling
 	s.cols = s.cols[:0]
 	s.arena.Reset()

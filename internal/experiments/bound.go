@@ -21,6 +21,12 @@ type BoundCheckResult struct {
 	// evaluations ran and how many skipped code generation.
 	BoundEvals   int64 `json:"bound_evals"`
 	CodegenSkips int64 `json:"codegen_skips"`
+	// Materialized counts bound-evaluated pairs the pruning run still had
+	// to generate code for (BoundEvals − CodegenSkips): the merges the
+	// bound could not rule out, MergeOps of which commit. The gap between
+	// the two is the bound's remaining slack. Pairs where bounding bails on
+	// the constant-branch hazard fall outside both counts.
+	Materialized int64 `json:"materialized"`
 	// AuditedPairs counts candidate pairs where the audit run compared the
 	// bound against the exact profit (pairs where bounding bails on the
 	// constant-branch hazard are not comparable and not counted).
@@ -80,6 +86,7 @@ func BoundCrossCheck(profiles []workload.Profile, target tti.Target, threshold, 
 			MergeOps:     got.MergeOps,
 			BoundEvals:   got.BoundEvals,
 			CodegenSkips: got.CodegenSkips,
+			Materialized: got.BoundEvals - got.CodegenSkips,
 			AuditedPairs: pairs,
 			Inadmissible: inadmissible,
 			Match:        true,

@@ -121,6 +121,7 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 	if w < 1 {
 		w = 1
 	}
+	tm := opts.Merge.Timings
 	var next int64
 	best := int64(n) // lowest profitable rank published so far (greedy)
 	locals := make([]attempt, w)
@@ -174,9 +175,16 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 				}
 				continue
 			}
-			profit := res.ProfitWithStatsMemo(opts.Target, fStats, cStats[i], costs)
+			// Pricing and discarding are code-generation work; account
+			// them to that phase.
+			var profit int
+			tm.TimeCodeGen(func() {
+				profit = res.ProfitWithStatsMemo(opts.Target, fStats, cStats[i], costs)
+				if profit <= 0 {
+					res.Discard()
+				}
+			})
 			if profit <= 0 {
-				res.Discard()
 				if memoOK {
 					neg.insert(nk)
 				}
@@ -199,11 +207,11 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 			// held attempt already has the lower rank.
 			if local.res == nil || profit > local.profit {
 				if local.res != nil {
-					local.res.Discard()
+					tm.TimeCodeGen(local.res.Discard)
 				}
 				local = attempt{rank: i, profit: profit, res: res}
 			} else {
-				res.Discard()
+				tm.TimeCodeGen(res.Discard)
 			}
 		}
 		locals[slot] = local
@@ -240,11 +248,11 @@ func evalCandidates(f *ir.Func, cands []candidate, opts Options, costs *tti.Cost
 		}
 		if better {
 			if win.res != nil {
-				win.res.Discard()
+				tm.TimeCodeGen(win.res.Discard)
 			}
 			win = a
 		} else {
-			a.res.Discard()
+			tm.TimeCodeGen(a.res.Discard)
 		}
 	}
 

@@ -239,23 +239,58 @@ func (f *Func) Callers() []*Inst {
 }
 
 // DropBody removes all blocks from the function, turning it into a shell
-// ready for a replacement body (used when thunkifying merged functions).
+// ready for a replacement body (thunkifying merged functions) or for the
+// collector (discarded merge attempts).
+//
+// Only operand uses of values defined outside the body — functions,
+// globals, and any stray definition belonging to another body — are
+// unlinked one by one. Those lists are shared, so removal stays
+// order-preserving and a discarded attempt leaves them exactly as it found
+// them; the body is walked newest-first because its uses sit at the tail
+// of each shared list, where removeUse's backward scan meets them first.
+// The body's own parameters, blocks and instructions die with it, so their
+// use lists are reset in one step rather than emptied a use at a time.
 func (f *Func) DropBody() {
-	// Two passes: first drop all operand uses so inter-block references
-	// (branches, phis) disappear, then detach blocks.
-	for _, b := range f.Blocks {
-		for _, in := range b.Insts {
-			in.dropAllOperands()
+	for bi := len(f.Blocks) - 1; bi >= 0; bi-- {
+		insts := f.Blocks[bi].Insts
+		for ii := len(insts) - 1; ii >= 0; ii-- {
+			in := insts[ii]
+			for k := len(in.operands) - 1; k >= 0; k-- {
+				if v := in.operands[k]; v != nil && !f.defines(v) {
+					untrackUse(v, Use{User: in, Index: k})
+				}
+			}
+			clear(in.operands)
+			in.operands = in.operands[:0]
 		}
+	}
+	for _, p := range f.Params {
+		p.uses = nil
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Insts {
+			in.uses = nil
 			in.parent = nil
 		}
+		b.uses = nil
 		b.Insts = nil
 		b.parent = nil
 	}
 	f.Blocks = nil
+}
+
+// defines reports whether v is a parameter, block or attached instruction
+// of f's own body — a value whose use list dies with the body.
+func (f *Func) defines(v Value) bool {
+	switch x := v.(type) {
+	case *Inst:
+		return x.parent != nil && x.parent.parent == f
+	case *Block:
+		return x.parent == f
+	case *Param:
+		return x.parent == f
+	}
+	return false
 }
 
 // Global is a module-level global variable. Only the properties needed by

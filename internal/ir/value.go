@@ -36,8 +36,11 @@ type usable struct {
 func (u *usable) addUse(use Use) { u.uses = append(u.uses, use) }
 
 func (u *usable) removeUse(use Use) {
-	for i, x := range u.uses {
-		if x == use {
+	// A (user, index) pair occurs at most once per list, so scanning from
+	// the back finds the same entry as from the front — and the newest
+	// uses, which a discarded merge attempt removes, sit at the back.
+	for i := len(u.uses) - 1; i >= 0; i-- {
+		if u.uses[i] == use {
 			// Removal preserves the order of the remaining uses: passes
 			// (caller rewriting, thunk elision) iterate use lists, and the
 			// exploration framework requires identical iteration order no

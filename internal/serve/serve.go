@@ -354,7 +354,7 @@ func (s *Server) openSession(payload []byte) (*explore.Session, error) {
 }
 
 // sessionWorker owns one explore.Session: submits run strictly FIFO, each
-// releasing its admission slot after the response is written.
+// releasing its admission slot before its response is written.
 func (s *Server) sessionWorker(se *session, write func(wire.Frame), wg *sync.WaitGroup) {
 	defer wg.Done()
 	for job := range se.queue {
@@ -366,24 +366,32 @@ func (s *Server) sessionWorker(se *session, write func(wire.Frame), wg *sync.Wai
 	}
 }
 
-// runSubmit decodes, merges and responds for one admitted submit.
+// runSubmit decodes, merges and responds for one admitted submit. The
+// admission slot frees once the work is done and before the reply goes
+// out: a client may resubmit the moment it reads a reply and must then
+// find the slot free. The submit stays in flight until the reply is
+// written, so a draining Shutdown still delivers it.
 func (s *Server) runSubmit(se *session, job submitJob, write func(wire.Frame)) {
-	defer func() {
-		<-s.sem
-		s.inFlight.Done()
-	}()
+	defer s.inFlight.Done()
+	reply := s.execSubmit(se, job)
+	<-s.sem
+	write(reply)
+}
+
+// execSubmit runs one admitted submit and returns its Result or Error
+// frame.
+func (s *Server) execSubmit(se *session, job submitJob) wire.Frame {
+	fail := func(msg string) wire.Frame {
+		return wire.Frame{Kind: wire.FrameError, Session: se.id, Ticket: job.ticket, Payload: []byte(msg)}
+	}
 	start := time.Now()
 	m, err := wire.Decode(job.payload, wire.Options{Workers: se.sess.Options().Workers})
 	if err != nil {
-		write(wire.Frame{Kind: wire.FrameError, Session: se.id, Ticket: job.ticket,
-			Payload: []byte("decode: " + err.Error())})
-		return
+		return fail("decode: " + err.Error())
 	}
 	rep, delta, err := se.sess.Submit(m)
 	if err != nil {
-		write(wire.Frame{Kind: wire.FrameError, Session: se.id, Ticket: job.ticket,
-			Payload: []byte("submit: " + err.Error())})
-		return
+		return fail("submit: " + err.Error())
 	}
 	res := Result{
 		MergeOps:            rep.MergeOps,
@@ -397,9 +405,7 @@ func (s *Server) runSubmit(se *session, job submitJob, write func(wire.Frame)) {
 	}
 	payload, err := json.Marshal(&res)
 	if err != nil {
-		write(wire.Frame{Kind: wire.FrameError, Session: se.id, Ticket: job.ticket,
-			Payload: []byte("marshal: " + err.Error())})
-		return
+		return fail("marshal: " + err.Error())
 	}
-	write(wire.Frame{Kind: wire.FrameResult, Session: se.id, Ticket: job.ticket, Payload: payload})
+	return wire.Frame{Kind: wire.FrameResult, Session: se.id, Ticket: job.ticket, Payload: payload}
 }
