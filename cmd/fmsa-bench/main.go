@@ -13,19 +13,21 @@
 // parallel) and emits one machine-readable JSON line per configuration —
 // ns/op, merges/s, DP-cell and cache-hit counters, and the per-phase
 // breakdown — for tracking the performance trajectory across revisions.
-// -alignkernel and -nocaches select the alignment kernel (coded or closure)
-// and toggle the linearization cache plus alignment memo; -nobound disables
-// pre-codegen profitability bounding; -runs repeats each measurement and
-// reports the median (ns_per_op) plus the minimum (ns_per_op_min);
-// -percorpus emits one line per corpus instead of one per suite:
+// -nocaches disables the linearization cache plus alignment memo; -nobound
+// disables pre-codegen profitability bounding; -runs repeats each
+// measurement and reports the median (ns_per_op) plus the minimum
+// (ns_per_op_min); -percorpus emits one line per corpus instead of one per
+// suite:
 //
 //	fmsa-bench -exp perf -workers 8 -json BENCH_explore.json
 //	fmsa-bench -exp perf -percorpus -runs 3 -json BENCH_PR5.json
 //	fmsa-bench -exp perf -percorpus -runs 3 -nobound -json BENCH_PR5.json
 //
-// The kernels experiment cross-checks the coded kernel (caches on) against
-// the closure kernel (caches off) corpus by corpus and fails on the first
-// divergence in merge records or final module text:
+// The kernels experiment checks, corpus by corpus, that the cached pipeline
+// commits bit-identical merges to the uncached one (merge records, final
+// size and module text) and that the equivalence codes the kernels compare
+// encode exactly the paper's entry-equivalence relation, before and after
+// exploration; it fails on the first divergence:
 //
 //	fmsa-bench -exp kernels -quick
 //
@@ -122,7 +124,6 @@ func main() {
 		jsonPath  = flag.String("json", "", "append experiment JSON lines (perf, rank, audit) to this file")
 		auditMode = flag.String("audit", "committed", "audit experiment mode: committed or deep")
 		ranking   = flag.String("ranking", "exact", "perf experiment candidate ranking: exact or lsh")
-		kernel    = flag.String("alignkernel", "coded", "alignment kernel: coded or closure")
 		noCaches  = flag.Bool("nocaches", false, "disable the linearization cache and alignment memo")
 		noBound   = flag.Bool("nobound", false, "disable pre-codegen profitability bounding")
 		runs      = flag.Int("runs", 1, "perf experiment: repeat each measurement, report median and min")
@@ -286,8 +287,6 @@ func main() {
 		section("Exploration pipeline performance: serial vs parallel (t=10)")
 		mode, err := explore.ParseRankingMode(*ranking)
 		fatalIf(err)
-		km, err := explore.ParseKernelMode(*kernel)
-		fatalIf(err)
 		lvl, err := ir.ParseVerifyLevel(*verifyLvl)
 		fatalIf(err)
 		w := *workers
@@ -296,7 +295,7 @@ func main() {
 		}
 		cfg := experiments.PerfConfig{
 			Threshold: 10, Workers: 1, Runs: *runs,
-			Ranking: mode, Kernel: km, NoCaches: *noCaches, NoBound: *noBound,
+			Ranking: mode, NoCaches: *noCaches, NoBound: *noBound,
 			Verify: lvl,
 		}
 		if *perCorpus {
@@ -319,7 +318,7 @@ func main() {
 
 	if run("kernels") {
 		ran = true
-		section("Kernel cross-check: coded+caches vs closure+nocaches, bit-identical merges (t=5)")
+		section("Kernel check: cached vs uncached bit-identical merges, codes encode the equivalence relation (t=5)")
 		rows, err := experiments.KernelCrossCheck(spec, tgt, 5, *workers)
 		for _, r := range rows {
 			emitJSON(r, *jsonPath)

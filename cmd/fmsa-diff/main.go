@@ -19,7 +19,7 @@ import (
 	"strings"
 
 	"fmsa/internal/align"
-	"fmsa/internal/core"
+	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
 	"fmsa/internal/passes"
@@ -70,13 +70,19 @@ func main() {
 		fatal(fmt.Errorf("both functions must be definitions"))
 	}
 
-	seq1 := linearize.Linearize(f1)
-	seq2 := linearize.Linearize(f2)
-	eq := func(i, j int) bool { return core.EntriesEquivalent(seq1[i], seq2[j]) }
-	steps := align.DecomposeMismatches(
-		align.Align(len(seq1), len(seq2), eq, align.DefaultScoring))
-
+	seq1, seq2, steps := alignPair(f1, f2)
 	fmt.Print(Render(steps, seq1, seq2, *width, f1.Name(), f2.Name()))
+}
+
+// alignPair linearizes two functions and aligns them the way the merger
+// does: over equivalence codes drawn from one fresh interning table, with
+// mismatch columns decomposed into gap pairs.
+func alignPair(f1, f2 *ir.Func) (seq1, seq2 []linearize.Entry, steps []align.Step) {
+	in := encode.NewInterner()
+	enc1 := in.Encode(linearize.Linearize(f1))
+	enc2 := in.Encode(linearize.Linearize(f2))
+	steps = align.DecomposeMismatches(align.AlignCodes(enc1.Codes, enc2.Codes, align.DefaultScoring))
+	return enc1.Seq, enc2.Seq, steps
 }
 
 // Render builds the two-column alignment listing.

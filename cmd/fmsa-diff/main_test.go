@@ -4,10 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"fmsa/internal/align"
-	"fmsa/internal/core"
 	"fmsa/internal/ir"
-	"fmsa/internal/linearize"
 )
 
 const diffFixture = `
@@ -31,11 +28,7 @@ func renderFixture(t *testing.T) string {
 	t.Helper()
 	mod := ir.MustParseModule("d", diffFixture)
 	f1, f2 := mod.FuncByName("a"), mod.FuncByName("b")
-	seq1 := linearize.Linearize(f1)
-	seq2 := linearize.Linearize(f2)
-	eq := func(i, j int) bool { return core.EntriesEquivalent(seq1[i], seq2[j]) }
-	steps := align.DecomposeMismatches(
-		align.Align(len(seq1), len(seq2), eq, align.DefaultScoring))
+	seq1, seq2, steps := alignPair(f1, f2)
 	return Render(steps, seq1, seq2, 40, f1.Name(), f2.Name())
 }
 

@@ -1,11 +1,12 @@
-// Package align implements pairwise sequence alignment algorithms over
-// abstract sequences: the Needleman–Wunsch global alignment used by the
-// paper (§III-C), a Hirschberg linear-space variant for long sequences, and
-// Smith–Waterman local alignment for the alignment-algorithm ablation.
+// Package align implements pairwise global sequence alignment: the
+// Needleman–Wunsch algorithm used by the paper (§III-C), a Hirschberg
+// linear-space variant for long sequences, and the Gotoh affine-gap and
+// banded variants of the alignment-algorithm ablation.
 //
-// Sequences are abstract: callers supply lengths and an equivalence
-// predicate over index pairs, so the package never copies the underlying
-// elements (linearized IR entries).
+// Sequences are equivalence-class codes (internal/encode interns each
+// linearized IR entry into one uint32 per §III-D class), so every kernel
+// decides equivalence with one integer comparison and never touches the
+// underlying entries.
 package align
 
 // Op classifies one column of an alignment.
@@ -59,21 +60,24 @@ type Scoring struct {
 // gaps equally penalized.
 var DefaultScoring = Scoring{Match: 1, Mismatch: -1, Gap: -1}
 
-// EqFunc reports whether A[i] and B[j] are equivalent.
-type EqFunc func(i, j int) bool
+// CodedFunc is the signature of a global-alignment algorithm. Sequences are
+// equivalence-class codes (internal/encode): A[i] and B[j] are equivalent
+// exactly when a[i] == b[j], so each dynamic-programming cell costs one
+// integer comparison on a flat slice.
+type CodedFunc func(a, b []uint32, sc Scoring) []Step
 
 // maxDirectCells bounds the traceback matrix of direct Needleman–Wunsch;
 // larger problems are routed to the linear-space Hirschberg algorithm.
 const maxDirectCells = 1 << 24 // 16M cells ≈ 16 MiB of direction bytes
 
-// Align computes an optimal global alignment of two sequences of lengths n
-// and m, choosing between direct Needleman–Wunsch and the linear-space
-// Hirschberg variant based on problem size.
-func Align(n, m int, eq EqFunc, sc Scoring) []Step {
-	if useDirect(n, m) {
-		return NeedlemanWunsch(n, m, eq, sc)
+// AlignCodes computes an optimal global alignment of two code sequences,
+// choosing between direct Needleman–Wunsch and the linear-space Hirschberg
+// variant based on problem size.
+func AlignCodes(a, b []uint32, sc Scoring) []Step {
+	if useDirect(len(a), len(b)) {
+		return NeedlemanWunschCodes(a, b, sc)
 	}
-	return Hirschberg(n, m, eq, sc)
+	return HirschbergCodes(a, b, sc)
 }
 
 // useDirect reports whether an n×m problem fits the direct Needleman–Wunsch
@@ -81,9 +85,7 @@ func Align(n, m int, eq EqFunc, sc Scoring) []Step {
 // n*m <= maxDirectCells: for very long sequences the product can overflow
 // int and wrap to a small (or negative) value, which would route a
 // multi-gigabyte problem to the direct kernel. For every non-overflowing
-// pair the two forms agree exactly, so the routing of all realistic inputs
-// is unchanged. AlignCodes shares this predicate so both dispatchers always
-// pick twin kernels.
+// pair the two forms agree exactly.
 func useDirect(n, m int) bool {
 	return n == 0 || m == 0 || n <= maxDirectCells/m
 }
@@ -95,72 +97,82 @@ const (
 	dirLeft      // gap in A (consume B)
 )
 
-// NeedlemanWunsch computes an optimal global alignment with full dynamic
-// programming (O(n·m) time and traceback space).
-func NeedlemanWunsch(n, m int, eq EqFunc, sc Scoring) []Step {
-	if n == 0 {
-		steps := make([]Step, 0, m)
-		for j := 0; j < m; j++ {
-			steps = append(steps, Step{Op: OpGapB, I: -1, J: j})
-		}
-		return steps
+// gapsOnly is the alignment of a against an empty sequence (or of an empty
+// sequence against b): one gap column per element.
+func gapsOnly(n, m int) []Step {
+	steps := make([]Step, 0, n+m)
+	for i := 0; i < n; i++ {
+		steps = append(steps, Step{Op: OpGapA, I: i, J: -1})
 	}
-	if m == 0 {
-		steps := make([]Step, 0, n)
-		for i := 0; i < n; i++ {
-			steps = append(steps, Step{Op: OpGapA, I: i, J: -1})
-		}
-		return steps
+	for j := 0; j < m; j++ {
+		steps = append(steps, Step{Op: OpGapB, I: -1, J: j})
+	}
+	return steps
+}
+
+// NeedlemanWunschCodes computes an optimal global alignment with full
+// dynamic programming (O(n·m) time and traceback space). Ties break toward
+// the diagonal, then up, then left — determinism matters for
+// reproducibility.
+func NeedlemanWunschCodes(a, b []uint32, sc Scoring) []Step {
+	n, m := len(a), len(b)
+	if n == 0 || m == 0 {
+		return gapsOnly(n, m)
 	}
 
 	// Rolling score rows plus a full direction matrix for traceback, all
 	// recycled scratch. Every cell the traceback can reach is written below
-	// — dirs[at(0,0)] is the only unwritten cell, and the traceback stops
-	// before reading it — so stale pooled contents are harmless.
+	// — dirs[0] is the only unwritten cell, and the traceback stops before
+	// reading it — so stale pooled contents are harmless.
 	prev := getInt32(m + 1)
 	cur := getInt32(m + 1)
 	dirs := getBytes((n + 1) * (m + 1))
-	at := func(i, j int) int { return i*(m+1) + j }
 
 	prev[0] = 0
 	for j := 1; j <= m; j++ {
 		prev[j] = int32(j * sc.Gap)
-		dirs[at(0, j)] = dirLeft
+		dirs[j] = dirLeft
 	}
+	mat, mis, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	for i := 1; i <= n; i++ {
-		cur[0] = int32(i * sc.Gap)
-		dirs[at(i, 0)] = dirUp
+		// pd and left carry prev[j-1] and cur[j-1] in registers, and the
+		// re-slicing lets the compiler drop the inner bounds checks.
+		row := dirs[i*(m+1):][: m+1 : m+1]
+		prevR := prev[: m+1 : m+1]
+		curR := cur[: m+1 : m+1]
+		ai := a[i-1]
+		pd := prevR[0]
+		left := int32(i) * gap
+		curR[0] = left
+		row[0] = dirUp
 		for j := 1; j <= m; j++ {
-			sub := sc.Mismatch
-			if eq(i-1, j-1) {
-				sub = sc.Match
+			pj := prevR[j]
+			sub := mis
+			if ai == b[j-1] {
+				sub = mat
 			}
-			diag := prev[j-1] + int32(sub)
-			up := prev[j] + int32(sc.Gap)
-			left := cur[j-1] + int32(sc.Gap)
-			// Tie-break toward diagonal, then up, matching the classic
-			// formulation; determinism matters for reproducibility.
-			best, dir := diag, dirDiag
-			if up > best {
+			best, dir := pd+sub, dirDiag
+			if up := pj + gap; up > best {
 				best, dir = up, dirUp
 			}
-			if left > best {
-				best, dir = left, dirLeft
+			if lf := left + gap; lf > best {
+				best, dir = lf, dirLeft
 			}
-			cur[j] = best
-			dirs[at(i, j)] = dir
+			curR[j] = best
+			row[j] = dir
+			pd = pj
+			left = best
 		}
 		prev, cur = cur, prev
 	}
 
-	// Traceback.
 	var rev []Step
 	i, j := n, m
 	for i > 0 || j > 0 {
-		switch dirs[at(i, j)] {
+		switch dirs[i*(m+1)+j] {
 		case dirDiag:
 			op := OpMismatch
-			if eq(i-1, j-1) {
+			if a[i-1] == b[j-1] {
 				op = OpMatch
 			}
 			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
@@ -179,11 +191,15 @@ func NeedlemanWunsch(n, m int, eq EqFunc, sc Scoring) []Step {
 	putInt32(prev)
 	putInt32(cur)
 	putBytes(dirs)
-	// Reverse in place.
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
+	reverseSteps(rev)
 	return rev
+}
+
+// reverseSteps reverses a traceback in place.
+func reverseSteps(s []Step) {
+	for x, y := 0, len(s)-1; x < y; x, y = x+1, y-1 {
+		s[x], s[y] = s[y], s[x]
+	}
 }
 
 // Score computes the total score of an alignment under sc.

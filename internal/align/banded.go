@@ -1,6 +1,6 @@
 package align
 
-// Banded computes a global alignment restricted to a diagonal band of the
+// BandedCodes computes a global alignment restricted to a diagonal band of the
 // dynamic-programming matrix: only cells with |i−j−(n−m)/2·0| within the
 // band (after centering on the main diagonal of the rectangular problem)
 // are explored. Cost drops from O(n·m) to O((n+m)·band) at the price of
@@ -11,12 +11,13 @@ package align
 // banding is the classic bioinformatics response to exactly this trade-off
 // and the same lever later explored by the follow-up work on cheaper
 // function-merging pipelines.
-func Banded(n, m int, eq EqFunc, sc Scoring, band int) []Step {
+func BandedCodes(a, b []uint32, sc Scoring, band int) []Step {
+	n, m := len(a), len(b)
 	if band <= 0 {
 		band = 1
 	}
 	if n == 0 || m == 0 {
-		return NeedlemanWunsch(n, m, eq, sc)
+		return gapsOnly(n, m)
 	}
 	// The band must at least cover the length difference, or the corner
 	// cell is unreachable.
@@ -28,7 +29,7 @@ func Banded(n, m int, eq EqFunc, sc Scoring, band int) []Step {
 		band = diff + 1
 	}
 	if band >= n+m {
-		return NeedlemanWunsch(n, m, eq, sc)
+		return NeedlemanWunschCodes(a, b, sc)
 	}
 	// Very different lengths force a band so wide the banded matrix stops
 	// paying off (and can exceed memory); fall back to the standard
@@ -36,7 +37,7 @@ func Banded(n, m int, eq EqFunc, sc Scoring, band int) []Step {
 	// division for the same overflow reason as useDirect.
 	width := 2*band + 1
 	if n+1 > maxDirectCells/width {
-		return Align(n, m, eq, sc)
+		return AlignCodes(a, b, sc)
 	}
 
 	const negInf = int32(-1 << 29)
@@ -77,7 +78,7 @@ func Banded(n, m int, eq EqFunc, sc Scoring, band int) []Step {
 				// Diagonal: same k in row i-1.
 				if prev := score[at(i-1, k)]; prev > negInf {
 					sub := sc.Mismatch
-					if eq(i-1, j-1) {
+					if a[i-1] == b[j-1] {
 						sub = sc.Match
 					}
 					if v := prev + int32(sub); v > best {
@@ -120,7 +121,7 @@ func Banded(n, m int, eq EqFunc, sc Scoring, band int) []Step {
 		switch dirs[at(i, k)] {
 		case dirDiag:
 			op := OpMismatch
-			if eq(i-1, j-1) {
+			if a[i-1] == b[j-1] {
 				op = OpMatch
 			}
 			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
@@ -138,15 +139,13 @@ func Banded(n, m int, eq EqFunc, sc Scoring, band int) []Step {
 	}
 	putInt32(score)
 	putBytes(dirs)
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
+	reverseSteps(rev)
 	return rev
 }
 
-// BandedAligner returns an AlignFunc-shaped adapter with a fixed band.
-func BandedAligner(band int) func(n, m int, eq EqFunc, sc Scoring) []Step {
-	return func(n, m int, eq EqFunc, sc Scoring) []Step {
-		return Banded(n, m, eq, sc, band)
+// BandedAlignerCodes returns a CodedFunc with a fixed band.
+func BandedAlignerCodes(band int) CodedFunc {
+	return func(a, b []uint32, sc Scoring) []Step {
+		return BandedCodes(a, b, sc, band)
 	}
 }

@@ -17,14 +17,13 @@ type AffineScoring struct {
 // gaps.
 var DefaultAffineScoring = AffineScoring{Match: 1, Mismatch: -1, GapOpen: -1, GapExtend: -1}
 
-// Gotoh computes an optimal global alignment under affine gap penalties
+// GotohCodes computes an optimal global alignment under affine gap penalties
 // using Gotoh's three-matrix dynamic program, O(n·m) time and traceback
-// space.
-func Gotoh(n, m int, eq EqFunc, sc AffineScoring) []Step {
+// space. On ties a gap opening is preferred over an extension.
+func GotohCodes(a, b []uint32, sc AffineScoring) []Step {
+	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
-		return NeedlemanWunsch(n, m, eq, Scoring{
-			Match: sc.Match, Mismatch: sc.Mismatch, Gap: sc.GapExtend,
-		})
+		return gapsOnly(n, m)
 	}
 
 	const negInf = int32(-1 << 29)
@@ -64,11 +63,13 @@ func Gotoh(n, m int, eq EqFunc, sc AffineScoring) []Step {
 		tbY[at(0, j)] = 3
 	}
 
+	mat, mis := int32(sc.Match), int32(sc.Mismatch)
 	for i := 1; i <= n; i++ {
+		ai := a[i-1]
 		for j := 1; j <= m; j++ {
-			sub := int32(sc.Mismatch)
-			if eq(i-1, j-1) {
-				sub = int32(sc.Match)
+			sub := mis
+			if ai == b[j-1] {
+				sub = mat
 			}
 			// M: diagonal step from the best of the three.
 			bm, src := M[at(i-1, j-1)], byte(1)
@@ -121,7 +122,7 @@ func Gotoh(n, m int, eq EqFunc, sc AffineScoring) []Step {
 		switch state {
 		case 1:
 			op := OpMismatch
-			if eq(i-1, j-1) {
+			if a[i-1] == b[j-1] {
 				op = OpMatch
 			}
 			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
@@ -146,9 +147,7 @@ func Gotoh(n, m int, eq EqFunc, sc AffineScoring) []Step {
 	putBytes(tbM)
 	putBytes(tbX)
 	putBytes(tbY)
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
+	reverseSteps(rev)
 	return rev
 }
 
@@ -188,11 +187,11 @@ func GapRuns(steps []Step) int {
 	return runs
 }
 
-// GotohAligner adapts Gotoh to the AlignFunc shape used by the merger: the
-// linear Scoring's Gap is used as the extension penalty and one extra gap
-// penalty as the opening cost.
-func GotohAligner(n, m int, eq EqFunc, sc Scoring) []Step {
-	return Gotoh(n, m, eq, AffineScoring{
+// GotohAlignerCodes adapts GotohCodes to the CodedFunc shape used by the
+// merger: the linear Scoring's Gap is used as the extension penalty and one
+// extra gap penalty as the opening cost.
+func GotohAlignerCodes(a, b []uint32, sc Scoring) []Step {
+	return GotohCodes(a, b, AffineScoring{
 		Match:     sc.Match,
 		Mismatch:  sc.Mismatch,
 		GapOpen:   sc.Gap,

@@ -10,7 +10,7 @@ import (
 // slowAffineScore computes the optimal affine-gap alignment score by
 // exhaustive three-state recursion, for cross-checking Gotoh on small
 // inputs.
-func slowAffineScore(a, b string, sc AffineScoring) int {
+func slowAffineScore(a, b []uint32, sc AffineScoring) int {
 	type key struct {
 		i, j  int
 		state int // 0=fresh/match, 1=in gapA, 2=in gapB
@@ -66,31 +66,31 @@ func TestGotohOptimality(t *testing.T) {
 	for iter := 0; iter < 150; iter++ {
 		a := randSeq(r, r.Intn(12), "abc")
 		b := randSeq(r, r.Intn(12), "abc")
-		steps := Gotoh(len(a), len(b), strEq(a, b), sc)
+		steps := GotohCodes(a, b, sc)
 		if !Validate(steps, len(a), len(b)) {
-			t.Fatalf("invalid gotoh alignment of %q, %q: %v", a, b, steps)
+			t.Fatalf("invalid gotoh alignment of %v, %v: %v", a, b, steps)
 		}
 		got := AffineScore(steps, sc)
 		want := slowAffineScore(a, b, sc)
 		if got != want {
-			t.Fatalf("gotoh score %d != optimal %d for %q, %q (%v)", got, want, a, b, steps)
+			t.Fatalf("gotoh score %d != optimal %d for %v, %v (%v)", got, want, a, b, steps)
 		}
 	}
 }
 
 func TestGotohIdentical(t *testing.T) {
-	steps := Gotoh(5, 5, strEq("hello", "hello"), DefaultAffineScoring)
+	steps := GotohCodes(str("hello"), str("hello"), DefaultAffineScoring)
 	if countOps(steps)[OpMatch] != 5 {
 		t.Errorf("identical strings should fully match: %v", steps)
 	}
 }
 
 func TestGotohEmpty(t *testing.T) {
-	steps := Gotoh(0, 3, strEq("", "abc"), DefaultAffineScoring)
+	steps := GotohCodes(nil, str("abc"), DefaultAffineScoring)
 	if !Validate(steps, 0, 3) {
 		t.Errorf("empty-A alignment invalid: %v", steps)
 	}
-	steps = Gotoh(3, 0, strEq("abc", ""), DefaultAffineScoring)
+	steps = GotohCodes(str("abc"), nil, DefaultAffineScoring)
 	if !Validate(steps, 3, 0) {
 		t.Errorf("empty-B alignment invalid: %v", steps)
 	}
@@ -100,10 +100,10 @@ func TestGotohPrefersContiguousGaps(t *testing.T) {
 	// A = core, B = core with noise inserted at two sites. With a strong
 	// opening penalty the alignment should not have more gap runs than
 	// insertion sites.
-	a := "MMMMMMMM"
-	b := "MMxyMMMMzwMM"
+	a := str("MMMMMMMM")
+	b := str("MMxyMMMMzwMM")
 	sc := AffineScoring{Match: 2, Mismatch: -3, GapOpen: -4, GapExtend: 0}
-	steps := Gotoh(len(a), len(b), strEq(a, b), sc)
+	steps := GotohCodes(a, b, sc)
 	if !Validate(steps, len(a), len(b)) {
 		t.Fatal("invalid alignment")
 	}
@@ -120,10 +120,10 @@ func TestGotohPrefersContiguousGaps(t *testing.T) {
 // well as NW's path re-scored under the same affine scheme, and exactly as
 // well as the exhaustive optimum. Symbols compare modulo 4, so random bytes
 // produce plenty of matches.
-func gotohVsNWCase(a, b []byte, sc AffineScoring) error {
-	eq := func(i, j int) bool { return a[i]%4 == b[j]%4 }
-	nw := NeedlemanWunsch(len(a), len(b), eq, DefaultScoring)
-	gt := Gotoh(len(a), len(b), eq, sc)
+func gotohVsNWCase(aRaw, bRaw []byte, sc AffineScoring) error {
+	a, b := bytesMod(aRaw, 4, len(aRaw)), bytesMod(bRaw, 4, len(bRaw))
+	nw := NeedlemanWunschCodes(a, b, DefaultScoring)
+	gt := GotohCodes(a, b, sc)
 	if !Validate(gt, len(a), len(b)) {
 		return fmt.Errorf("invalid gotoh alignment %v", gt)
 	}
@@ -131,14 +131,7 @@ func gotohVsNWCase(a, b []byte, sc AffineScoring) error {
 	if got < nwScore {
 		return fmt.Errorf("gotoh affine score %d below NW path's %d", got, nwScore)
 	}
-	mod4 := func(x []byte) string {
-		out := make([]byte, len(x))
-		for i, c := range x {
-			out[i] = 'a' + c%4
-		}
-		return string(out)
-	}
-	if want := slowAffineScore(mod4(a), mod4(b), sc); got != want {
+	if want := slowAffineScore(a, b, sc); got != want {
 		return fmt.Errorf("gotoh affine score %d, exhaustive optimum %d", got, want)
 	}
 	return nil
@@ -178,7 +171,7 @@ func TestGotohScoresAtLeastNWPath(t *testing.T) {
 }
 
 func TestGotohAlignerAdapter(t *testing.T) {
-	steps := GotohAligner(3, 3, strEq("abc", "abc"), DefaultScoring)
+	steps := GotohAlignerCodes(str("abc"), str("abc"), DefaultScoring)
 	if !Validate(steps, 3, 3) || countOps(steps)[OpMatch] != 3 {
 		t.Errorf("adapter misaligned identical input: %v", steps)
 	}
@@ -188,9 +181,8 @@ func BenchmarkGotoh500(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	s1 := randSeq(r, 500, "abcdefgh")
 	s2 := randSeq(r, 500, "abcdefgh")
-	eq := strEq(s1, s2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Gotoh(len(s1), len(s2), eq, DefaultAffineScoring)
+		GotohCodes(s1, s2, DefaultAffineScoring)
 	}
 }

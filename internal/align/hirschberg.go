@@ -1,33 +1,21 @@
 package align
 
-// Hirschberg computes an optimal global alignment in O(n+m) space using
+// HirschbergCodes computes an optimal global alignment in O(n+m) space using
 // Hirschberg's divide-and-conquer refinement of Needleman–Wunsch. It
-// produces an alignment with the same score as NeedlemanWunsch (the exact
-// column sequence may differ among co-optimal alignments).
-func Hirschberg(n, m int, eq EqFunc, sc Scoring) []Step {
+// produces an alignment with the same score as NeedlemanWunschCodes (the
+// exact column sequence may differ among co-optimal alignments); among
+// equally good split points the first wins, so the result is deterministic.
+func HirschbergCodes(a, b []uint32, sc Scoring) []Step {
 	var out []Step
-	hirschRec(0, n, 0, m, eq, sc, &out)
+	hirschRecCodes(0, len(a), 0, len(b), a, b, sc, &out)
 	return out
 }
 
-func hirschRec(aLo, aHi, bLo, bHi int, eq EqFunc, sc Scoring, out *[]Step) {
+func hirschRecCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, out *[]Step) {
 	n, m := aHi-aLo, bHi-bLo
-	switch {
-	case n == 0:
-		for j := bLo; j < bHi; j++ {
-			*out = append(*out, Step{Op: OpGapB, I: -1, J: j})
-		}
-		return
-	case m == 0:
-		for i := aLo; i < aHi; i++ {
-			*out = append(*out, Step{Op: OpGapA, I: i, J: -1})
-		}
-		return
-	case n == 1 || m == 1:
+	if n <= 1 || m <= 1 {
 		// Small enough for direct DP; translate indices.
-		steps := NeedlemanWunsch(n, m, func(i, j int) bool {
-			return eq(aLo+i, bLo+j)
-		}, sc)
+		steps := NeedlemanWunschCodes(a[aLo:aHi], b[bLo:bHi], sc)
 		for _, s := range steps {
 			if s.I >= 0 {
 				s.I += aLo
@@ -41,10 +29,10 @@ func hirschRec(aLo, aHi, bLo, bHi int, eq EqFunc, sc Scoring, out *[]Step) {
 	}
 
 	mid := aLo + n/2
-	// Forward scores for A[aLo:mid] against prefixes of B.
-	scoreL := nwLastRow(aLo, mid, bLo, bHi, eq, sc, false)
-	// Backward scores for A[mid:aHi] against suffixes of B.
-	scoreR := nwLastRow(mid, aHi, bLo, bHi, eq, sc, true)
+	// Forward scores for A[aLo:mid] against prefixes of B, backward scores
+	// for A[mid:aHi] against suffixes of B.
+	scoreL := nwLastRowCodes(aLo, mid, bLo, bHi, a, b, sc, false)
+	scoreR := nwLastRowCodes(mid, aHi, bLo, bHi, a, b, sc, true)
 
 	// Choose the split point of B maximizing total score.
 	best, bestJ := scoreL[0]+scoreR[m], 0
@@ -55,16 +43,16 @@ func hirschRec(aLo, aHi, bLo, bHi int, eq EqFunc, sc Scoring, out *[]Step) {
 	}
 	putInt32(scoreL)
 	putInt32(scoreR)
-	hirschRec(aLo, mid, bLo, bLo+bestJ, eq, sc, out)
-	hirschRec(mid, aHi, bLo+bestJ, bHi, eq, sc, out)
+	hirschRecCodes(aLo, mid, bLo, bLo+bestJ, a, b, sc, out)
+	hirschRecCodes(mid, aHi, bLo+bestJ, bHi, a, b, sc, out)
 }
 
-// nwLastRow computes the final row of the NW score matrix for
+// nwLastRowCodes computes the final row of the NW score matrix for
 // A[aLo:aHi] × B[bLo:bHi]. When rev is true, both ranges are processed in
 // reverse (suffix alignment scores). The returned row is pooled scratch —
 // the caller passes it to putInt32 when done; the second scratch row is
 // recycled here.
-func nwLastRow(aLo, aHi, bLo, bHi int, eq EqFunc, sc Scoring, rev bool) []int32 {
+func nwLastRowCodes(aLo, aHi, bLo, bHi int, a, b []uint32, sc Scoring, rev bool) []int32 {
 	n, m := aHi-aLo, bHi-bLo
 	prev := getInt32(m + 1)
 	cur := getInt32(m + 1)
@@ -72,99 +60,50 @@ func nwLastRow(aLo, aHi, bLo, bHi int, eq EqFunc, sc Scoring, rev bool) []int32 
 	for j := 1; j <= m; j++ {
 		prev[j] = int32(j * sc.Gap)
 	}
+	// bSeg is the band of b this recursion reads, oriented so the inner loop
+	// indexes it forward in both directions — the direction branch is hoisted
+	// out of the row loop and the slice bounds let the compiler elide the
+	// inner bounds checks. pd and left carry prev[j-1] and cur[j-1] in
+	// registers.
+	bSeg := b[bLo:bHi]
+	mat, mis, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	for i := 1; i <= n; i++ {
-		cur[0] = int32(i * sc.Gap)
+		var ai uint32
+		if rev {
+			ai = a[aHi-i]
+		} else {
+			ai = a[aLo+i-1]
+		}
+		prevR := prev[: m+1 : m+1]
+		curR := cur[: m+1 : m+1]
+		pd := prevR[0]
+		left := int32(i) * gap
+		curR[0] = left
 		for j := 1; j <= m; j++ {
-			var ai, bj int
+			pj := prevR[j]
+			var bj uint32
 			if rev {
-				ai, bj = aHi-i, bHi-j
+				bj = bSeg[m-j]
 			} else {
-				ai, bj = aLo+i-1, bLo+j-1
+				bj = bSeg[j-1]
 			}
-			sub := sc.Mismatch
-			if eq(ai, bj) {
-				sub = sc.Match
+			sub := mis
+			if ai == bj {
+				sub = mat
 			}
-			best := prev[j-1] + int32(sub)
-			if up := prev[j] + int32(sc.Gap); up > best {
+			best := pd + sub
+			if up := pj + gap; up > best {
 				best = up
 			}
-			if left := cur[j-1] + int32(sc.Gap); left > best {
-				best = left
+			if lf := left + gap; lf > best {
+				best = lf
 			}
-			cur[j] = best
+			curR[j] = best
+			pd = pj
+			left = best
 		}
 		prev, cur = cur, prev
 	}
 	putInt32(cur)
 	return prev
-}
-
-// SmithWaterman computes an optimal local alignment: the highest-scoring
-// aligned region between the two sequences, ignoring everything outside it.
-// The returned steps cover contiguous subranges of each sequence; Validate
-// does not apply to local alignments.
-func SmithWaterman(n, m int, eq EqFunc, sc Scoring) []Step {
-	if n == 0 || m == 0 {
-		return nil
-	}
-	score := make([]int32, (n+1)*(m+1))
-	dirs := make([]byte, (n+1)*(m+1))
-	at := func(i, j int) int { return i*(m+1) + j }
-
-	var best int32
-	bi, bj := 0, 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			sub := sc.Mismatch
-			if eq(i-1, j-1) {
-				sub = sc.Match
-			}
-			v, d := score[at(i-1, j-1)]+int32(sub), dirDiag
-			if up := score[at(i-1, j)] + int32(sc.Gap); up > v {
-				v, d = up, dirUp
-			}
-			if left := score[at(i, j-1)] + int32(sc.Gap); left > v {
-				v, d = left, dirLeft
-			}
-			if v < 0 {
-				v, d = 0, 0
-			}
-			score[at(i, j)] = v
-			dirs[at(i, j)] = d
-			if v > best {
-				best, bi, bj = v, i, j
-			}
-		}
-	}
-	if best == 0 {
-		return nil
-	}
-
-	var rev []Step
-	i, j := bi, bj
-	for i > 0 && j > 0 && score[at(i, j)] > 0 {
-		switch dirs[at(i, j)] {
-		case dirDiag:
-			op := OpMismatch
-			if eq(i-1, j-1) {
-				op = OpMatch
-			}
-			rev = append(rev, Step{Op: op, I: i - 1, J: j - 1})
-			i--
-			j--
-		case dirUp:
-			rev = append(rev, Step{Op: OpGapA, I: i - 1, J: -1})
-			i--
-		case dirLeft:
-			rev = append(rev, Step{Op: OpGapB, I: -1, J: j - 1})
-			j--
-		default:
-			i, j = 0, 0
-		}
-	}
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return rev
 }

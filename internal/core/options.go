@@ -120,9 +120,6 @@ func (t *Timings) CountBound(pruned bool) {
 	}
 }
 
-// AlignFunc is the signature of a pairwise global-alignment algorithm.
-type AlignFunc func(n, m int, eq align.EqFunc, sc align.Scoring) []align.Step
-
 // AlignMemo caches raw kernel results keyed by the content of the two code
 // sequences. Implementations must be safe for concurrent use and must verify
 // full code equality on hash hits (hash equality is only a hint); the steps
@@ -142,15 +139,9 @@ type AlignMemo interface {
 type Options struct {
 	// Scoring is the alignment scoring scheme.
 	Scoring align.Scoring
-	// Align is the alignment algorithm (defaults to align.Align, which
-	// picks Needleman–Wunsch or Hirschberg by problem size).
-	Align AlignFunc
-	// AlignCoded, when non-nil, is the coded fast path used instead of Align
-	// whenever both sequences carry equivalence codes: no per-cell closure
-	// calls, and alignment-memo eligibility. It MUST be the exact coded twin
-	// of Align (bit-identical []Step on equivalent inputs) — callers that
-	// override Align with an algorithm lacking a coded twin must set
-	// AlignCoded to nil, or the override is silently bypassed.
+	// AlignCoded is the alignment algorithm over the two sequences'
+	// equivalence codes; nil selects align.AlignCodes, which picks
+	// Needleman–Wunsch or Hirschberg by problem size.
 	AlignCoded align.CodedFunc
 	// Order is the linearization traversal order (paper default: RPO).
 	Order linearize.Order
@@ -162,18 +153,18 @@ type Options struct {
 	NamePrefix string
 	// Timings, when non-nil, accumulates per-phase wall-clock time.
 	Timings *Timings
-	// SeqProvider, when non-nil, returns a cached linearization (and, on the
-	// coded path, encoding) of f under Order, or nil to make Merge linearize
-	// inline; a caching provider may also compute on miss and never return
-	// nil. Returned values are borrowed: Merge never mutates or recycles
-	// them, so one cache entry may serve many concurrent merges. The
-	// provider accounts its own SeqCacheHits/Misses (Timings.CountSeqCache).
+	// SeqProvider, when non-nil, returns a cached linearization and encoding
+	// of f under Order, or nil to make Merge linearize inline; a caching
+	// provider may also compute on miss and never return nil. Returned
+	// values are borrowed: Merge never mutates or recycles them, so one cache
+	// entry may serve many concurrent merges. The provider accounts its own
+	// SeqCacheHits/Misses (Timings.CountSeqCache).
 	SeqProvider func(f *ir.Func) *encode.Encoded
 	// Interner supplies equivalence codes for inline (provider-miss)
-	// encoding on the coded path. Nil means the shared process-wide table.
+	// encoding. Nil means the shared process-wide table.
 	Interner *encode.Interner
-	// AlignMemo, when non-nil, caches coded-kernel results across merges.
-	// Only consulted on the coded path — memo keys are code contents.
+	// AlignMemo, when non-nil, caches kernel results across merges, keyed by
+	// code contents.
 	AlignMemo AlignMemo
 	// Prune, when non-nil, enables pre-codegen profitability bounding:
 	// Merge evaluates the admissible profit upper bound right after
@@ -195,7 +186,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Scoring:     align.DefaultScoring,
-		Align:       align.Align,
 		AlignCoded:  align.AlignCodes,
 		Order:       linearize.OrderRPO,
 		ReuseParams: true,

@@ -21,8 +21,8 @@
 // Codes are only meaningful within one process: they intern *ir.Type pointer
 // identities, which is safe because interned types are structurally unique
 // and codes feed only equality comparisons, never persisted output. The
-// alignment result they induce is therefore bit-identical to the closure
-// kernels' regardless of the code values themselves.
+// alignment result they induce therefore depends only on which entries share
+// a code, never on the code values themselves.
 package encode
 
 import (

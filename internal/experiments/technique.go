@@ -125,21 +125,22 @@ func Fig10Techniques() []Technique {
 }
 
 // AblationTechniques returns the design-choice ablations: parameter reuse
-// off (§III-E's "up to 7%" claim), Hirschberg alignment, Smith-Waterman-
-// style local alignment is excluded (it does not produce total alignments),
-// and the two alternative linearization orders (§III-B).
+// off (§III-E's "up to 7%" claim), three alternative global aligners
+// (Hirschberg, affine-gap Gotoh, a 32-wide band), the two alternative
+// linearization orders (§III-B) and canonical instruction order. Local
+// alignment is excluded: it does not produce total alignments.
 func AblationTechniques() []Technique {
 	return []Technique{
 		FMSA(1),
 		FMSAVariant("FMSA[no-param-reuse]", 1, func(o *core.Options) { o.ReuseParams = false }),
 		FMSAVariant("FMSA[hirschberg]", 1, func(o *core.Options) {
-			o.Align, o.AlignCoded = align.Hirschberg, align.HirschbergCodes
+			o.AlignCoded = align.HirschbergCodes
 		}),
 		FMSAVariant("FMSA[affine-gap]", 1, func(o *core.Options) {
-			o.Align, o.AlignCoded = align.GotohAligner, align.GotohAlignerCodes
+			o.AlignCoded = align.GotohAlignerCodes
 		}),
 		FMSAVariant("FMSA[banded-32]", 1, func(o *core.Options) {
-			o.Align, o.AlignCoded = align.BandedAligner(32), align.BandedAlignerCodes(32)
+			o.AlignCoded = align.BandedAlignerCodes(32)
 		}),
 		FMSAVariant("FMSA[order=dfs]", 1, func(o *core.Options) { o.Order = linearize.OrderDFS }),
 		FMSAVariant("FMSA[order=layout]", 1, func(o *core.Options) { o.Order = linearize.OrderLayout }),

@@ -82,19 +82,13 @@ type Options struct {
 	// back to the exact scan. Zero selects DefaultLSHMinPool; exploration
 	// never re-evaluates the cutoff as merges shrink the pool.
 	LSHMinPool int
-	// Kernel selects the alignment kernel (see kernel.go): KernelCoded (the
-	// default — flat integer kernels over interned equivalence codes) or
-	// KernelClosure (the EqFunc structural walk, the cross-check baseline).
-	// Both produce bit-identical merges; only speed differs. When
-	// Merge.AlignCoded was explicitly set to nil (a custom closure aligner
-	// without a coded twin), the closure path runs regardless of this knob.
-	Kernel KernelMode
-	// NoSeqCache disables the per-function linearization+encoding cache:
-	// every merge attempt re-linearizes both inputs, as before PR 4.
-	NoSeqCache bool
-	// NoAlignMemo disables the content-keyed alignment-result memo (only
-	// active on the coded kernel to begin with).
-	NoAlignMemo bool
+	// NoCaches disables the per-function linearization+encoding cache and
+	// the content-keyed alignment-result memo (see kernel.go): every merge
+	// attempt re-linearizes and re-encodes both inputs and runs the kernel.
+	// Both caches are semantically invisible, so this knob only trades
+	// compile time; the kernels experiment uses it as the uncached
+	// reference.
+	NoCaches bool
 	// AlignMemoCap bounds the memo's entry count; zero selects
 	// DefaultAlignMemoCap.
 	AlignMemoCap int
@@ -307,7 +301,7 @@ type runner struct {
 	// fell below the LSH cutoff.
 	lsh *lshState
 	// seqs is the per-function linearization+encoding cache; nil when
-	// Options.NoSeqCache is set or the runner only snapshots rankings.
+	// Options.NoCaches is set or the runner only snapshots rankings.
 	seqs *seqCache
 	// costs memoizes per-function cost-model sizes for the profitability
 	// bound and the exact profit evaluation; nil when the runner only
@@ -354,7 +348,7 @@ func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
 		r.keys = seed.keys
 	}
 	r.opts.Merge.Timings = &core.Timings{}
-	r.setupKernel()
+	r.setupInterner()
 
 	// Pre-processing: the merger requires φ-free input (§III-A). Sessions
 	// demote before diffing, so this is a no-op under a seed.

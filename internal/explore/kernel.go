@@ -1,11 +1,10 @@
 package explore
 
-// Alignment-kernel selection and the two exploration-scoped caches feeding
-// it: a per-function linearization+encoding cache (so the O(pool·t)
-// speculative merge attempts stop re-linearizing and re-encoding the same
-// functions) and a bounded alignment-result memo keyed by sequence content
-// (so the workload's identical-clone populations collapse to one DP run per
-// class).
+// The two exploration-scoped caches feeding the alignment kernel: a
+// per-function linearization+encoding cache (so the O(pool·t) speculative
+// merge attempts stop re-linearizing and re-encoding the same functions) and
+// a bounded alignment-result memo keyed by sequence content (so the
+// workload's identical-clone populations collapse to one DP run per class).
 //
 // Determinism: both caches are semantically invisible. A cache hit returns
 // exactly what recomputation would — the linearization cache stores the
@@ -16,10 +15,10 @@ package explore
 // alignment. Which attempts hit is scheduling-dependent under Workers > 1,
 // so the hit/miss counters may vary across worker counts — the committed
 // merges, the report records and the final module never do
-// (TestParallelDeterminism runs with both caches on).
+// (TestParallelDeterminism runs with both caches on, and the kernels
+// experiment compares every corpus against Options.NoCaches).
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -31,55 +30,15 @@ import (
 	"fmsa/internal/tti"
 )
 
-// KernelMode selects the alignment kernel driving each merge attempt.
-type KernelMode int
-
-const (
-	// KernelCoded (the default) interns linearization entries into
-	// equivalence-class codes once per function and runs the flat-slice
-	// integer kernels (align.AlignCodes and friends) — no per-cell closure
-	// calls, and alignment-memo eligibility. Bit-identical output to
-	// KernelClosure.
-	KernelCoded KernelMode = iota
-	// KernelClosure drives the EqFunc closure kernels, the pre-encoding
-	// baseline and the cross-check reference.
-	KernelClosure
-)
-
-// String names the mode the way the -alignkernel flags spell it.
-func (m KernelMode) String() string {
-	if m == KernelClosure {
-		return "closure"
-	}
-	return "coded"
-}
-
-// ParseKernelMode parses the -alignkernel flag values: "" or "coded", or
-// "closure".
-func ParseKernelMode(s string) (KernelMode, error) {
-	switch s {
-	case "", "coded":
-		return KernelCoded, nil
-	case "closure":
-		return KernelClosure, nil
-	default:
-		return KernelCoded, errors.New(`unknown align kernel "` + s + `" (want coded or closure)`)
-	}
-}
-
 // DefaultAlignMemoCap bounds the alignment memo: at most this many cached
 // results (a few hundred bytes each). A full memo stops inserting — older
 // entries are not evicted, so hit patterns stay deterministic for a fixed
 // schedule and results stay identical regardless.
 const DefaultAlignMemoCap = 1 << 14
 
-// setupKernel resolves the kernel mode and wires the per-run interning
-// table. Called from setup before any merge attempt.
-func (r *runner) setupKernel() {
-	if r.opts.Kernel == KernelClosure {
-		r.opts.Merge.AlignCoded = nil
-		r.opts.Merge.AlignMemo = nil
-	}
+// setupInterner wires the per-run interning table. Called from setup before
+// any merge attempt.
+func (r *runner) setupInterner() {
 	if r.opts.Merge.Interner == nil {
 		// Per-run table: its lifetime (and memory) matches the module's.
 		r.opts.Merge.Interner = encode.NewInterner()
@@ -87,52 +46,48 @@ func (r *runner) setupKernel() {
 }
 
 // setupCaches builds the linearization cache for the initial pool (in
-// parallel — each function is independent) and the alignment memo. Called
-// from Run, not setup, so SnapshotRanking never pays for it; the encoding
-// wall time lands in the Linearize phase via the shared Timings.
+// parallel — each function is independent) and the alignment memo, unless
+// Options.NoCaches is set. Called from Run, not setup, so SnapshotRanking
+// never pays for it; the encoding wall time lands in the Linearize phase via
+// the shared Timings.
 func (r *runner) setupCaches() {
-	if !r.opts.NoSeqCache {
-		start := time.Now()
-		r.seqs = &seqCache{
-			entries: make(map[*ir.Func]*encode.Encoded, len(r.pool)),
-			encode:  r.encodeFunc,
-			timings: r.opts.Merge.Timings,
-		}
-		encs := make([]*encode.Encoded, len(r.pool))
-		parallelFor(len(r.pool), r.workers, func(i int) {
-			encs[i] = r.encodeFunc(r.pool[i])
-		})
-		for i, f := range r.pool {
-			r.seqs.entries[f] = encs[i]
-		}
-		r.opts.Merge.SeqProvider = r.seqs.lookup
-		r.opts.Merge.Timings.AddLinearize(time.Since(start))
-	}
-	if !r.opts.NoAlignMemo && r.opts.Merge.AlignCoded != nil {
-		if r.seed != nil && r.seed.memo != nil {
-			// Warm run: the session's memo survives across submissions.
-			// Safe to share — entries verify full code equality on every
-			// hit, so a stale entry can only miss, never mislead.
-			r.opts.Merge.AlignMemo = r.seed.memo
-		} else {
-			r.opts.Merge.AlignMemo = newAlignMemo(r.opts.AlignMemoCap)
-		}
-	}
 	// The cost memo serves ProfitWithStatsMemo even when bounding is off
 	// (Options.NoBound only disables the pre-codegen prune); invalidation
 	// shares the linearization cache's stale set — a rewritten call site
 	// changes a caller's size just like it changes its sequence.
 	r.costs = tti.NewCostMemo()
+	if r.opts.NoCaches {
+		return
+	}
+	start := time.Now()
+	r.seqs = &seqCache{
+		entries: make(map[*ir.Func]*encode.Encoded, len(r.pool)),
+		encode:  r.encodeFunc,
+		timings: r.opts.Merge.Timings,
+	}
+	encs := make([]*encode.Encoded, len(r.pool))
+	parallelFor(len(r.pool), r.workers, func(i int) {
+		encs[i] = r.encodeFunc(r.pool[i])
+	})
+	for i, f := range r.pool {
+		r.seqs.entries[f] = encs[i]
+	}
+	r.opts.Merge.SeqProvider = r.seqs.lookup
+	r.opts.Merge.Timings.AddLinearize(time.Since(start))
+
+	if r.seed != nil && r.seed.memo != nil {
+		// Warm run: the session's memo survives across submissions. Safe
+		// to share — entries verify full code equality on every hit, so a
+		// stale entry can only miss, never mislead.
+		r.opts.Merge.AlignMemo = r.seed.memo
+	} else {
+		r.opts.Merge.AlignMemo = newAlignMemo(r.opts.AlignMemoCap)
+	}
 }
 
-// encodeFunc linearizes (and, on the coded path, encodes) one function for
-// the cache.
+// encodeFunc linearizes and encodes one function for the cache.
 func (r *runner) encodeFunc(f *ir.Func) *encode.Encoded {
-	seq := linearize.LinearizeOrder(f, r.opts.Merge.Order)
-	if r.opts.Merge.AlignCoded == nil {
-		return &encode.Encoded{Seq: seq}
-	}
-	return r.opts.Merge.Interner.Encode(seq)
+	return r.opts.Merge.Interner.Encode(linearize.LinearizeOrder(f, r.opts.Merge.Order))
 }
 
 // staleAfterCommit lists every function whose cached linearization the

@@ -9,25 +9,23 @@ import (
 	"fmsa/internal/workload"
 )
 
-// TestKernelCrossCheck is the in-tree version of the acceptance gate: the
-// closure kernel with every cache disabled (the pre-encoding pipeline) and
-// the default coded kernel with both caches on must produce identical merge
-// records, identical counters and an identical final module.
+// TestKernelCrossCheck is the in-tree version of the cache-invisibility half
+// of the kernels gate: exploring with every cache disabled and with both
+// caches on must produce identical merge records, identical counters and an
+// identical final module.
 func TestKernelCrossCheck(t *testing.T) {
-	closure := DefaultOptions()
-	closure.Threshold = 5
-	closure.Kernel = KernelClosure
-	closure.NoSeqCache = true
-	closure.NoAlignMemo = true
+	uncached := DefaultOptions()
+	uncached.Threshold = 5
+	uncached.NoCaches = true
 
-	coded := DefaultOptions()
-	coded.Threshold = 5
+	cached := DefaultOptions()
+	cached.Threshold = 5
 
 	for _, workers := range []int{1, 4} {
-		ref, refMod := exploreWith(t, closure, workers, 19)
-		got, gotMod := exploreWith(t, coded, workers, 19)
+		ref, refMod := exploreWith(t, uncached, workers, 19)
+		got, gotMod := exploreWith(t, cached, workers, 19)
 		if !reflect.DeepEqual(ref.Records, got.Records) {
-			t.Errorf("workers=%d: records diverge between closure and coded kernels:\nclosure: %+v\ncoded:   %+v",
+			t.Errorf("workers=%d: records diverge between uncached and cached runs:\nuncached: %+v\ncached:   %+v",
 				workers, ref.Records, got.Records)
 		}
 		if ref.SizeAfter != got.SizeAfter || ref.MergeOps != got.MergeOps {
@@ -35,10 +33,13 @@ func TestKernelCrossCheck(t *testing.T) {
 				workers, ref.SizeAfter, got.SizeAfter, ref.MergeOps, got.MergeOps)
 		}
 		if refMod != gotMod {
-			t.Errorf("workers=%d: final module text diverges between kernels", workers)
+			t.Errorf("workers=%d: final module text diverges between uncached and cached runs", workers)
 		}
 		if ref.MergeOps == 0 {
 			t.Fatalf("workers=%d: demo module produced no merges; cross-check is vacuous", workers)
+		}
+		if ref.SeqCacheHits+ref.SeqCacheMisses+ref.AlignMemoHits+ref.AlignMemoMisses != 0 {
+			t.Errorf("workers=%d: NoCaches run still consulted a cache", workers)
 		}
 	}
 }
@@ -66,26 +67,6 @@ func TestKernelCountersPopulated(t *testing.T) {
 	// observe at least one repeated code-sequence pair.
 	if rep.AlignMemoHits == 0 {
 		t.Error("AlignMemoHits stayed zero on a clone-rich module")
-	}
-}
-
-// TestKernelClosureSkipsCodedState checks KernelClosure really runs the
-// closure pipeline: no memo is wired and no align-memo counters move.
-func TestKernelClosureSkipsCodedState(t *testing.T) {
-	m := workload.Build(demoProfile(3))
-	opts := DefaultOptions()
-	opts.Threshold = 5
-	opts.Kernel = KernelClosure
-	rep := Run(m, opts)
-	if rep.MergeOps == 0 {
-		t.Fatal("no merges")
-	}
-	if rep.AlignMemoHits != 0 || rep.AlignMemoMisses != 0 {
-		t.Errorf("closure kernel moved align-memo counters: %d/%d",
-			rep.AlignMemoHits, rep.AlignMemoMisses)
-	}
-	if rep.AlignCells == 0 {
-		t.Error("AlignCells must count on the closure path too")
 	}
 }
 
@@ -128,28 +109,5 @@ func TestAlignMemoCapStopsInserts(t *testing.T) {
 	}
 	if _, ok := am.Lookup(a, b); !ok {
 		t.Error("full memo dropped an existing entry")
-	}
-}
-
-// TestParseKernelMode covers the flag-parsing surface.
-func TestParseKernelMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want KernelMode
-		ok   bool
-	}{
-		{"", KernelCoded, true},
-		{"coded", KernelCoded, true},
-		{"closure", KernelClosure, true},
-		{"Closure", KernelCoded, false},
-		{"fast", KernelCoded, false},
-	} {
-		got, err := ParseKernelMode(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseKernelMode(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	if KernelCoded.String() != "coded" || KernelClosure.String() != "closure" {
-		t.Error("KernelMode.String does not round-trip the flag spellings")
 	}
 }

@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -86,7 +87,7 @@ func TestSimilarityRange(t *testing.T) {
 		s2 := Similarity(pb, pa)
 		return s1 >= 0 && s1 <= 0.5 && s1 == s2
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(41))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -206,7 +207,7 @@ func TestSimilarityUpperBoundDominatesSimilarity(t *testing.T) {
 		pa, pb := Compute(fa), Compute(fb)
 		return SimilarityUpperBound(pa, pb) >= Similarity(pa, pb)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(42))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,7 +6,8 @@
 #  - vet/build: the usual compiler-visible hygiene.
 #  - lint: the repo linter's analyzer registry (use-list locking, pool
 #    get/put pairing, map-range ordering, wall-clock purity, goroutine
-#    captures); lint-registry first asserts the expected analyzers exist.
+#    captures, unseeded randomness in tests); lint-registry first asserts
+#    the expected analyzers exist.
 #  - race-tests: the full suite under the race detector — the parallel
 #    exploration pipeline must stay deterministic and data-race-free.
 #  - audit-corpus: the static merge auditor reports zero diagnostics across
@@ -19,7 +20,13 @@
 #    pipeline boundary on the quick corpus, verification never changes
 #    merge decisions, and the fast level stays within its overhead budget.
 #  - rank/kernels/bound/ingest: the cross-check experiments (LSH recall,
-#    kernel equivalence, bound admissibility, fmir ingest bit-identity).
+#    bound admissibility, fmir ingest bit-identity). The kernels gate
+#    checks, per corpus, that exploring with the linearization cache and
+#    alignment memo commits bit-identical merges to exploring with
+#    NoCaches, and that the interned codes the kernels compare encode
+#    exactly core.EntriesEquivalent over every entry, before and after
+#    exploration; internal/align's tests pin the kernels themselves to a
+#    reference Needleman-Wunsch.
 #  - fuzz-stablehash: short smoke-fuzz of the cross-TU stable hash (hash
 #    equality on self-comparable functions must imply structural equality,
 #    and hashing must survive print->reparse).
@@ -64,7 +71,7 @@ gate() {
 
 check_registry() {
     got=$(go run ./scripts/lint -list | awk '{print $1}' | tr '\n' ' ')
-    want="uselist poolpair maprange walltime goloopcapture "
+    want="uselist poolpair maprange walltime goloopcapture testdeterminism "
     if [ "$got" != "$want" ]; then
         echo "lint registry mismatch: got '$got', want '$want'" >&2
         return 1

@@ -212,7 +212,7 @@ func discard() { bufPool.Get() }
 }
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"uselist", "poolpair", "maprange", "walltime", "goloopcapture"}
+	want := []string{"uselist", "poolpair", "maprange", "walltime", "goloopcapture", "testdeterminism"}
 	if len(analyzers) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(analyzers), len(want))
 	}
@@ -232,7 +232,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("-only selection wrong: %v, err %v", names(sel), err)
 	}
 	sel, err = selectAnalyzers(analyzers, "", "poolpair")
-	if err != nil || len(sel) != 4 {
+	if err != nil || len(sel) != len(analyzers)-1 {
 		t.Fatalf("-skip selection wrong: %v, err %v", names(sel), err)
 	}
 	for _, a := range sel {
@@ -378,6 +378,57 @@ func format(t0 time.Time) string { return t0.Format(time.RFC3339) }
 	for _, b := range bad {
 		if !strings.Contains(b, "bad.go") {
 			t.Errorf("violation outside bad.go: %s", b)
+		}
+	}
+}
+
+func TestLintTestDeterminism(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "bad_test.go", `package p
+import (
+	mr "math/rand"
+	"testing"
+	"testing/quick"
+)
+func TestNil(t *testing.T)      { _ = quick.Check(func(x int) bool { return true }, nil) }
+func TestNoRand(t *testing.T)   { _ = quick.Check(func(x int) bool { return true }, &quick.Config{MaxCount: 5}) }
+func TestEqual(t *testing.T)    { _ = quick.CheckEqual(func(x int) int { return x }, func(x int) int { return x }, nil) }
+func TestGlobal(t *testing.T)   { _ = mr.Intn(3) }
+func TestUnknown(t *testing.T, cfg *quick.Config) { _ = quick.Check(func(x int) bool { return true }, cfg) }
+`)
+	write(t, dir, "ok_test.go", `package p
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+func TestLiteral(t *testing.T) {
+	_ = quick.Check(func(x int) bool { return true }, &quick.Config{Rand: rand.New(rand.NewSource(1))})
+}
+func TestVar(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 9, Rand: rand.New(rand.NewSource(2))}
+	_ = quick.Check(func(x int) bool { return true }, cfg)
+}
+func TestField(t *testing.T) {
+	var cfg quick.Config
+	cfg.Rand = rand.New(rand.NewSource(3))
+	_ = quick.Check(func(x int) bool { return true }, &cfg)
+}
+func TestSeeded(t *testing.T) { _ = rand.New(rand.NewSource(4)).Intn(3) }
+`)
+	// Non-test files are out of scope: generators may use math/rand freely
+	// behind their own seeding discipline.
+	write(t, dir, "gen.go", `package p
+import "math/rand"
+func pick() int { return rand.Intn(3) }
+`)
+	bad := lintTestDeterminism(dir)
+	if len(bad) != 5 {
+		t.Fatalf("want 5 violations (nil, no Rand, CheckEqual, global rand, unknown cfg), got %d: %v", len(bad), bad)
+	}
+	for _, b := range bad {
+		if !strings.Contains(b, "bad_test.go") {
+			t.Errorf("violation outside bad_test.go: %s", b)
 		}
 	}
 }

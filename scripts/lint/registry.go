@@ -83,6 +83,17 @@ var analyzers = []analyzer{
 			return bad
 		},
 	},
+	{
+		name: "testdeterminism",
+		doc:  "tests drawing unseeded randomness (quick.Check without Config.Rand, global math/rand)",
+		run: func(root string) []string {
+			var bad []string
+			for _, dir := range append([]string{root}, lintableDirs(root)...) {
+				bad = append(bad, lintTestDeterminism(dir)...)
+			}
+			return bad
+		},
+	},
 }
 
 // lintableDirs enumerates every package directory the whole-tree analyzers
