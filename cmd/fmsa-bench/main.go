@@ -13,15 +13,13 @@
 // parallel) and emits one machine-readable JSON line per configuration —
 // ns/op, merges/s, DP-cell and cache-hit counters, and the per-phase
 // breakdown — for tracking the performance trajectory across revisions.
-// -nocaches disables the linearization cache plus alignment memo; -nobound
-// disables pre-codegen profitability bounding; -runs repeats each
-// measurement and reports the median (ns_per_op) plus the minimum
-// (ns_per_op_min); -percorpus emits one line per corpus instead of one per
-// suite:
+// -nocaches disables the linearization cache plus alignment memo; -runs
+// repeats each measurement and reports the median (ns_per_op) plus the
+// minimum (ns_per_op_min); -percorpus emits one line per corpus instead of
+// one per suite:
 //
 //	fmsa-bench -exp perf -workers 8 -json BENCH_explore.json
 //	fmsa-bench -exp perf -percorpus -runs 3 -json BENCH_PR5.json
-//	fmsa-bench -exp perf -percorpus -runs 3 -nobound -json BENCH_PR5.json
 //
 // The kernels experiment checks, corpus by corpus, that the cached pipeline
 // commits bit-identical merges to the uncached one (merge records, final
@@ -32,9 +30,9 @@
 //	fmsa-bench -exp kernels -quick
 //
 // The bound experiment is the profitability-bound differential check: each
-// corpus runs with bounding off, with pruning on (must commit bit-identical
-// merges) and with a bound-vs-exact audit on every materialized pair (zero
-// pairs may price above their bound):
+// corpus runs with pruning on and with a bound-vs-exact audit that
+// materializes every pair and prunes none. The two must commit bit-identical
+// merges, and zero audited pairs may price above their bound:
 //
 //	fmsa-bench -exp bound -quick
 //
@@ -125,7 +123,6 @@ func main() {
 		auditMode = flag.String("audit", "committed", "audit experiment mode: committed or deep")
 		ranking   = flag.String("ranking", "exact", "perf experiment candidate ranking: exact or lsh")
 		noCaches  = flag.Bool("nocaches", false, "disable the linearization cache and alignment memo")
-		noBound   = flag.Bool("nobound", false, "disable pre-codegen profitability bounding")
 		runs      = flag.Int("runs", 1, "perf experiment: repeat each measurement, report median and min")
 		perCorpus = flag.Bool("percorpus", false, "perf experiment: emit one JSON line per corpus")
 		units     = flag.Int("units", 4, "global experiment: translation units per corpus")
@@ -295,7 +292,7 @@ func main() {
 		}
 		cfg := experiments.PerfConfig{
 			Threshold: 10, Workers: 1, Runs: *runs,
-			Ranking: mode, NoCaches: *noCaches, NoBound: *noBound,
+			Ranking: mode, NoCaches: *noCaches,
 			Verify: lvl,
 		}
 		if *perCorpus {
@@ -328,7 +325,7 @@ func main() {
 
 	if run("bound") {
 		ran = true
-		section("Bound cross-check: pruning vs exact pipeline, admissibility audit (t=5)")
+		section("Bound cross-check: pruning vs unpruned audit run, admissibility audit (t=5)")
 		rows, err := experiments.BoundCrossCheck(spec, tgt, 5, *workers)
 		for _, r := range rows {
 			emitJSON(r, *jsonPath)

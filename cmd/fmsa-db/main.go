@@ -22,7 +22,6 @@ import (
 
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/global"
-	"fmsa/internal/lsh"
 	"fmsa/internal/passes"
 	"fmsa/internal/simdb"
 	"fmsa/internal/wire"
@@ -112,7 +111,7 @@ func ingest(store *simdb.Store, paths []string, workers int) {
 // query probes the rehydrated index with the named function's stored
 // signature and prints candidates by estimated Jaccard, descending.
 func query(store *simdb.Store, fname string, topK int) {
-	ix, recs := store.Rehydrate(lsh.Params{})
+	ix, recs := store.Rehydrate()
 	self := int32(-1)
 	var target *simdb.Record
 	for id, r := range recs {

@@ -35,46 +35,44 @@ type BoundCheckResult struct {
 	// bound — each one is a pair pruning could wrongly discard. Must be 0.
 	Inadmissible int64 `json:"inadmissible"`
 	// Match reports bit-identical records and final module text between the
-	// bounding and non-bounding pipelines.
+	// pruning pipeline and the unpruned audit pipeline.
 	Match bool `json:"match"`
 	// Detail names the first divergence when Match is false.
 	Detail string `json:"detail,omitempty"`
 }
 
 // BoundCrossCheck is the executable form of the PR 5 admissibility guarantee.
-// Every corpus runs through three identically built modules:
+// Every corpus runs through two identically built modules:
 //
-//  1. the reference pipeline with bounding disabled,
-//  2. the default pipeline with pre-codegen pruning on, and
-//  3. an audit pipeline where every usable bound is checked against the
-//     exact cost model on the materialized merged function.
+//  1. the default pipeline with pre-codegen pruning on, and
+//  2. an audit pipeline (core.Options.BoundAudit) that prunes nothing: every
+//     usable bound is checked against the exact cost model on the
+//     materialized merged function.
 //
-// Runs 1 and 2 must commit bit-identical merge records and final modules —
-// pruning may only skip pairs the exact model rejects — and run 3 must find
-// zero inadmissible bounds (exact profit > bound). An inadmissible bound, a
-// decision divergence or a module-text difference all surface here. Returns
-// an error naming the first diverging corpus.
+// The audit run is the unpruned reference. The two must commit
+// bit-identical merge records and final modules — pruning may only skip
+// pairs the exact model rejects — and the audit must find zero inadmissible
+// bounds (exact profit > bound). An inadmissible bound, a decision
+// divergence or a module-text difference all surface here. Returns an error
+// naming the first diverging corpus.
 func BoundCrossCheck(profiles []workload.Profile, target tti.Target, threshold, workers int) ([]BoundCheckResult, error) {
 	var out []BoundCheckResult
 	var firstErr error
 	for _, p := range profiles {
-		runOne := func(noBound bool, audit func(f1, f2 *ir.Func, bound, exact int)) (*explore.Report, string) {
+		runOne := func(audit func(f1, f2 *ir.Func, bound, exact int)) (*explore.Report, string) {
 			m := workload.Build(p)
 			opts := explore.DefaultOptions()
 			opts.Threshold = threshold
 			opts.Target = target
 			opts.Workers = workers
-			opts.NoBound = noBound
 			opts.Merge.BoundAudit = audit
 			rep := explore.Run(m, opts)
 			return rep, ir.FormatModule(m)
 		}
 
-		ref, refMod := runOne(true, nil)
-		got, gotMod := runOne(false, nil)
-
+		got, gotMod := runOne(nil)
 		var pairs, inadmissible int64
-		runOne(false, func(f1, f2 *ir.Func, bound, exact int) {
+		ref, refMod := runOne(func(f1, f2 *ir.Func, bound, exact int) {
 			atomic.AddInt64(&pairs, 1)
 			if exact > bound {
 				atomic.AddInt64(&inadmissible, 1)
@@ -95,11 +93,14 @@ func BoundCrossCheck(profiles []workload.Profile, target tti.Target, threshold, 
 		case inadmissible > 0:
 			r.Match, r.Detail = false,
 				fmt.Sprintf("%d/%d audited pairs have exact profit above the bound", inadmissible, pairs)
+		case ref.CodegenSkips != 0:
+			r.Match, r.Detail = false,
+				fmt.Sprintf("audit run pruned %d pairs; it must materialize every pair", ref.CodegenSkips)
 		case !reflect.DeepEqual(ref.Records, got.Records):
 			r.Match, r.Detail = false, "merge records diverge"
 		case ref.SizeAfter != got.SizeAfter:
 			r.Match, r.Detail = false,
-				fmt.Sprintf("final size diverges: nobound %d, bound %d", ref.SizeAfter, got.SizeAfter)
+				fmt.Sprintf("final size diverges: unpruned %d, pruned %d", ref.SizeAfter, got.SizeAfter)
 		case refMod != gotMod:
 			r.Match, r.Detail = false, "final module text diverges"
 		}

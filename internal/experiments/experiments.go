@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"fmsa/internal/explore"
@@ -128,8 +127,7 @@ const backendProxyRounds = 120
 // whole-module analysis rounds (dominators, verification, linearization,
 // cost modelling, serialization) standing in for the -Os LTO middle/back
 // end.
-func baselinePipeline(m *ir.Module, target tti.Target) time.Duration {
-	start := time.Now()
+func baselinePipeline(m *ir.Module, target tti.Target) {
 	passes.DemotePhisModule(m)
 	passes.DCEModule(m)
 	passes.SimplifyCFGModule(m)
@@ -147,7 +145,6 @@ func baselinePipeline(m *ir.Module, target tti.Target) time.Duration {
 			ir.FormatModule(m)
 		}
 	}
-	return time.Since(start)
 }
 
 func linearizeLen(f *ir.Func) int {
@@ -167,29 +164,19 @@ func CompileTime(profiles []workload.Profile, target tti.Target, techs []Techniq
 	rows := make([]TimeRow, 0, len(profiles))
 	for _, p := range profiles {
 		row := TimeRow{Bench: p.Name, Normalized: map[string]float64{}}
-		base := time.Duration(-1)
-		best := make([]time.Duration, len(techs))
+		var base bestOf
+		best := make([]bestOf, len(techs))
 		for r := 0; r < compileTimeRuns; r++ {
 			baseM := workload.Build(p)
-			runtime.GC()
-			if d := baselinePipeline(baseM, target); r == 0 || d < base {
-				base = d
-			}
+			base.run(func() { baselinePipeline(baseM, target) })
 			for i, tech := range techs {
 				m := workload.Build(p)
-				runtime.GC()
-				start := time.Now()
-				tech.Run(m, target)
-				if d := time.Since(start); r == 0 || d < best[i] {
-					best[i] = d
-				}
+				best[i].run(func() { tech.Run(m, target) })
 			}
 		}
-		if base <= 0 {
-			base = time.Microsecond
-		}
+		baseD := max(base.min, time.Microsecond)
 		for i, tech := range techs {
-			row.Normalized[tech.Name] = float64(base+best[i]) / float64(base)
+			row.Normalized[tech.Name] = float64(baseD+best[i].min) / float64(baseD)
 		}
 		rows = append(rows, row)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"fmsa/internal/explore"
@@ -27,8 +26,6 @@ type PerfResult struct {
 	Caches bool `json:"caches"`
 	// Threshold is the exploration threshold t.
 	Threshold int `json:"threshold"`
-	// Bound reports whether pre-codegen profitability bounding was enabled.
-	Bound bool `json:"bound"`
 	// Runs is how many times the whole suite was explored.
 	Runs int `json:"runs"`
 	// MergeOps and CandidatesEvaluated sum over one pass of the suite.
@@ -68,8 +65,7 @@ type PerfResult struct {
 	AlignMemoHits   int64 `json:"align_memo_hits"`
 	AlignMemoMisses int64 `json:"align_memo_misses"`
 	// BoundEvals/CodegenSkips count profitability-bound evaluations and the
-	// subset that skipped merged-function materialization. Zero when Bound
-	// is false.
+	// subset that skipped merged-function materialization.
 	BoundEvals   int64 `json:"bound_evals"`
 	CodegenSkips int64 `json:"codegen_skips"`
 	// Verify is the IR verification level the pipeline ran under ("off"
@@ -87,7 +83,6 @@ type PerfConfig struct {
 	Runs      int // <= 0 means 1
 	Ranking   explore.RankingMode
 	NoCaches  bool // disable both the linearization cache and the align memo
-	NoBound   bool // disable pre-codegen profitability bounding
 	Verify    ir.VerifyLevel
 }
 
@@ -96,7 +91,6 @@ func (c PerfConfig) apply(opts *explore.Options) {
 	opts.Threshold = c.Threshold
 	opts.Ranking = c.Ranking
 	opts.NoCaches = c.NoCaches
-	opts.NoBound = c.NoBound
 	opts.Verify = c.Verify
 }
 
@@ -114,7 +108,6 @@ func Perf(profiles []workload.Profile, target tti.Target, cfg PerfConfig) PerfRe
 		Suite:   suiteName(profiles),
 		Workers: cfg.Workers, Ranking: cfg.Ranking.String(),
 		Caches:    !cfg.NoCaches,
-		Bound:     !cfg.NoBound,
 		Threshold: cfg.Threshold, Runs: cfg.Runs,
 		Verify:  cfg.Verify.String(),
 		PhaseNs: map[string]int64{},
@@ -131,51 +124,23 @@ func Perf(profiles []workload.Profile, target tti.Target, cfg PerfConfig) PerfRe
 			mods[i] = workload.Build(p)
 		}
 		start := time.Now()
-		ops, cands := 0, 0
-		var probes, skips int64
-		fallbacks := 0
-		var cells, seqHits, seqMisses, memoHits, memoMisses int64
-		var boundEvals, codegenSkips int64
-		var verifiedFuncs int64
-		verifyDiags := 0
-		var phases explore.Phases
+		var sum explore.Report
 		for _, m := range mods {
 			opts := explore.DefaultOptions()
 			opts.Target = target
 			opts.Workers = cfg.Workers
 			cfg.apply(&opts)
-			rep := explore.Run(m, opts)
-			ops += rep.MergeOps
-			cands += rep.CandidatesEvaluated
-			probes += rep.RankProbes
-			skips += rep.RankPrefilterSkips
-			fallbacks += rep.RankFallbacks
-			cells += rep.AlignCells
-			seqHits += rep.SeqCacheHits
-			seqMisses += rep.SeqCacheMisses
-			memoHits += rep.AlignMemoHits
-			memoMisses += rep.AlignMemoMisses
-			boundEvals += rep.BoundEvals
-			codegenSkips += rep.CodegenSkips
-			verifiedFuncs += rep.VerifiedFuncs
-			verifyDiags += len(rep.VerifyDiags)
-			phases.Fingerprint += rep.Phases.Fingerprint
-			phases.Ranking += rep.Phases.Ranking
-			phases.Linearize += rep.Phases.Linearize
-			phases.Align += rep.Phases.Align
-			phases.CodeGen += rep.Phases.CodeGen
-			phases.UpdateCalls += rep.Phases.UpdateCalls
-			phases.Verify += rep.Phases.Verify
+			sum.Add(explore.Run(m, opts))
 		}
 		walls = append(walls, time.Since(start).Nanoseconds())
-		phaseRuns = append(phaseRuns, phases)
-		res.MergeOps, res.CandidatesEvaluated = ops, cands
-		res.RankProbes, res.RankPrefilterSkips, res.RankFallbacks = probes, skips, fallbacks
-		res.AlignCells = cells
-		res.SeqCacheHits, res.SeqCacheMisses = seqHits, seqMisses
-		res.AlignMemoHits, res.AlignMemoMisses = memoHits, memoMisses
-		res.BoundEvals, res.CodegenSkips = boundEvals, codegenSkips
-		res.VerifiedFuncs, res.VerifyDiags = verifiedFuncs, verifyDiags
+		phaseRuns = append(phaseRuns, sum.Phases)
+		res.MergeOps, res.CandidatesEvaluated = sum.MergeOps, sum.CandidatesEvaluated
+		res.RankProbes, res.RankPrefilterSkips, res.RankFallbacks = sum.RankProbes, sum.RankPrefilterSkips, sum.RankFallbacks
+		res.AlignCells = sum.AlignCells
+		res.SeqCacheHits, res.SeqCacheMisses = sum.SeqCacheHits, sum.SeqCacheMisses
+		res.AlignMemoHits, res.AlignMemoMisses = sum.AlignMemoHits, sum.AlignMemoMisses
+		res.BoundEvals, res.CodegenSkips = sum.BoundEvals, sum.CodegenSkips
+		res.VerifiedFuncs, res.VerifyDiags = sum.VerifiedFuncs, len(sum.VerifyDiags)
 	}
 	res.NsPerOp = medianInt64(walls)
 	res.NsPerOpMin = minInt64(walls)
@@ -203,28 +168,6 @@ var phaseExtractors = map[string]func(explore.Phases) time.Duration{
 	"codegen":      func(p explore.Phases) time.Duration { return p.CodeGen },
 	"update_calls": func(p explore.Phases) time.Duration { return p.UpdateCalls },
 	"verify":       func(p explore.Phases) time.Duration { return p.Verify },
-}
-
-// medianInt64 returns the lower median of the samples (exact middle for odd
-// counts), without mutating the input.
-func medianInt64(samples []int64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)-1)/2]
-}
-
-func minInt64(samples []int64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	m := samples[0]
-	for _, v := range samples[1:] {
-		m = min(m, v)
-	}
-	return m
 }
 
 // PerfCorpora measures each corpus of the suite separately under one

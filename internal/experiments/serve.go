@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"fmsa/internal/explore"
@@ -317,15 +316,11 @@ func Serve(profiles []workload.Profile, tgt tti.Target, cfg ServeConfig) ([]Serv
 		}
 	}
 	streamWall := time.Since(streamStart)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 {
-		idx := int(p * float64(len(lat)-1))
-		return lat[idx].Nanoseconds()
-	}
+	p50, p95, p99 := latencyPercentiles(lat)
 	rows = append(rows, ServeResult{
 		Phase: "latency", Corpus: big.Name, Funcs: corpus.funcs, Workers: cfg.Workers,
 		DeltaFrac: cfg.DeltaFrac, Submits: cfg.Stream, BitIdentical: true,
-		P50NS: pct(0.50), P95NS: pct(0.95), P99NS: pct(0.99),
+		P50NS: p50, P95NS: p95, P99NS: p99,
 		ThroughputPerSec: float64(cfg.Stream) / streamWall.Seconds(),
 	})
 	h.stop()

@@ -25,7 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -174,7 +173,7 @@ func SimDB(profiles []workload.Profile, tgt tti.Target, cfg SimDBConfig) ([]SimD
 	// every pool function for the session table — with or without a store —
 	// then fingerprints and signs, then builds the index); the windows
 	// differ only in recompute versus replay+reuse. Keying and lookups fan
-	// out across the cores exactly like the pipeline's parallelFor pass;
+	// out across the cores exactly like the pipeline's par.For pass;
 	// results land at their definition index, so the outcome is identical
 	// for any worker count. A forced collection ahead of each timed window
 	// keeps background GC mark assists from smearing one window's
@@ -205,34 +204,27 @@ func SimDB(profiles []workload.Profile, tgt tti.Target, cfg SimDBConfig) ([]SimD
 		wg.Wait()
 	}
 
-	// Each window is sampled startupAttempts times and the minimum wall
-	// clock is reported: the attempts perform identical work from identical
-	// state, so the minimum is the run least distorted by scheduler and GC
-	// noise — the standard noise-floor estimate for a one-shot measurement.
+	// Each window reports the best of startupAttempts runs (bestOf).
 
 	// Cold startup: key the corpus for the session table, recompute every
 	// fingerprint and signature, and build the index from nothing — what
 	// every process start paid before the store.
-	var coldNS int64
+	var cold bestOf
 	var coldSigs []*fingerprint.Signature
 	var coldIx *lsh.Index
 	for attempt := 0; attempt < startupAttempts; attempt++ {
-		runtime.GC()
-		tCold := time.Now()
-		keyAll(func(int, []byte, uint64) {})
-		sigs := make([]*fingerprint.Signature, len(defs))
-		for i, f := range defs {
-			fingerprint.Compute(f)
-			sigs[i] = fingerprint.ComputeSignature(f)
-		}
-		ix := lsh.New(lsh.Params{})
-		for i, sig := range sigs {
-			ix.Insert(int32(i), sig)
-		}
-		if d := time.Since(tCold).Nanoseconds(); attempt == 0 || d < coldNS {
-			coldNS = d
-		}
-		coldSigs, coldIx = sigs, ix
+		cold.run(func() {
+			keyAll(func(int, []byte, uint64) {})
+			coldSigs = make([]*fingerprint.Signature, len(defs))
+			for i, f := range defs {
+				fingerprint.Compute(f)
+				coldSigs[i] = fingerprint.ComputeSignature(f)
+			}
+			coldIx = lsh.New()
+			for i, sig := range coldSigs {
+				coldIx.Insert(int32(i), sig)
+			}
+		})
 	}
 
 	// Warm startup: replay the segment, key the corpus (the same pass the
@@ -244,7 +236,7 @@ func SimDB(profiles []workload.Profile, tgt tti.Target, cfg SimDBConfig) ([]SimD
 	if err != nil {
 		return nil, err
 	}
-	var warmNS int64
+	var warm bestOf
 	var warmSigs []*fingerprint.Signature
 	var warmIx *lsh.Index
 	var wStore *simdb.Store
@@ -254,50 +246,47 @@ func SimDB(profiles []workload.Profile, tgt tti.Target, cfg SimDBConfig) ([]SimD
 		if err := os.WriteFile(attemptPath, segBytesOrig, 0o644); err != nil {
 			return nil, err
 		}
-		runtime.GC()
-		tWarm := time.Now()
-		st, err := simdb.Open(attemptPath, big.Name, simdb.Options{})
+		warm.run(func() {
+			if wStore, err = simdb.Open(attemptPath, big.Name, simdb.Options{}); err != nil {
+				return
+			}
+			warmSigs = make([]*fingerprint.Signature, len(defs))
+			bands := make([][]uint64, len(defs))
+			missed := make([]bool, len(defs))
+			keyAll(func(i int, key []byte, hash uint64) {
+				rec := wStore.Lookup(hash, key)
+				if rec != nil && rec.Sig != nil {
+					warmSigs[i] = rec.Sig
+					bands[i] = rec.Bands
+				} else {
+					missed[i] = true
+				}
+			})
+			hits, misses = 0, 0
+			for i, f := range defs {
+				if !missed[i] {
+					hits++
+					continue
+				}
+				misses++
+				key, selfEq := global.AppendStableKey(nil, f)
+				fp := fingerprint.Compute(f)
+				warmSigs[i] = fingerprint.ComputeSignature(f)
+				bands[i] = lsh.AppendBandKeys(warmSigs[i], nil)
+				wStore.Put(simdb.Record{
+					Hash: global.HashStableKey(key), Name: f.Name(), Linkage: f.Linkage,
+					SelfEq: selfEq, Size: fp.Total, Key: key, Fp: fp, Sig: warmSigs[i],
+					Bands: bands[i],
+				})
+			}
+			warmIx = lsh.NewFromBandKeys(bands)
+			err = wStore.Flush()
+		})
 		if err != nil {
 			return nil, err
 		}
-		sigs := make([]*fingerprint.Signature, len(defs))
-		bands := make([][]uint64, len(defs))
-		missed := make([]bool, len(defs))
-		keyAll(func(i int, key []byte, hash uint64) {
-			rec := st.Lookup(hash, key)
-			if rec != nil && rec.Sig != nil {
-				sigs[i] = rec.Sig
-				bands[i] = rec.Bands
-			} else {
-				missed[i] = true
-			}
-		})
-		hits, misses = 0, 0
-		for i, f := range defs {
-			if !missed[i] {
-				hits++
-				continue
-			}
-			misses++
-			key, selfEq := global.AppendStableKey(nil, f)
-			fp := fingerprint.Compute(f)
-			sigs[i] = fingerprint.ComputeSignature(f)
-			bands[i] = lsh.AppendBandKeys(lsh.Params{}, sigs[i], nil)
-			st.Put(simdb.Record{
-				Hash: global.HashStableKey(key), Name: f.Name(), Linkage: f.Linkage,
-				SelfEq: selfEq, Size: fp.Total, Key: key, Fp: fp, Sig: sigs[i],
-				Bands: bands[i],
-			})
-		}
-		ix := lsh.NewFromBandKeys(lsh.Params{}, bands)
-		if err := st.Flush(); err != nil {
-			return nil, err
-		}
-		if d := time.Since(tWarm).Nanoseconds(); attempt == 0 || d < warmNS {
-			warmNS = d
-		}
-		warmSigs, warmIx, wStore = sigs, ix, st
 	}
+	coldNS, warmNS := cold.min.Nanoseconds(), warm.min.Nanoseconds()
 
 	speedup := float64(coldNS) / float64(warmNS)
 	startIdentical := true
@@ -343,13 +332,10 @@ func SimDB(profiles []workload.Profile, tgt tti.Target, cfg SimDBConfig) ([]SimD
 			break
 		}
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(p float64) int64 {
-		return lat[int(p*float64(len(lat)-1))].Nanoseconds()
-	}
+	p50, p95, p99 := latencyPercentiles(lat)
 	rows = append(rows, SimDBResult{
 		Phase: "probe", Corpus: big.Name, Funcs: len(defs), Probes: len(lat),
-		P50NS: pct(0.50), P95NS: pct(0.95), P99NS: pct(0.99),
+		P50NS: p50, P95NS: p95, P99NS: p99,
 		SegmentBytes: wStore.Stats().SegmentBytes, BitIdentical: probeIdentical,
 	})
 	if !probeIdentical {

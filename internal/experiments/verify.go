@@ -186,33 +186,30 @@ func VerifySweep(profiles []workload.Profile, target tti.Target, cfg VerifyConfi
 	// same machine load, and the collector runs to completion before each
 	// timed pass — GC pacing debt from the previous pass otherwise lands
 	// inside the next pass's window and dwarfs the gates' real cost.
-	timeOnce := func(level ir.VerifyLevel) int64 {
+	timeOnce := func(level ir.VerifyLevel, best *bestOf) {
 		mods := make([]*ir.Module, len(profiles))
 		for i, p := range profiles {
 			mods[i] = workload.Build(p)
 		}
-		runtime.GC()
-		start := time.Now()
-		for _, m := range mods {
-			opts := explore.DefaultOptions()
-			opts.Target = target
-			opts.Threshold = cfg.Threshold
-			opts.Workers = cfg.Workers
-			opts.Verify = level
-			explore.Run(m, opts)
-		}
-		return time.Since(start).Nanoseconds()
+		best.run(func() {
+			for _, m := range mods {
+				opts := explore.DefaultOptions()
+				opts.Target = target
+				opts.Threshold = cfg.Threshold
+				opts.Workers = cfg.Workers
+				opts.Verify = level
+				explore.Run(m, opts)
+			}
+		})
+	}
+	var off, fast bestOf
+	for r := 0; r < cfg.Runs; r++ {
+		timeOnce(ir.VerifyOff, &off)
+		timeOnce(ir.VerifyFast, &fast)
 	}
 	agg := VerifyResult{
 		Experiment: "verify", Corpus: "aggregate", Runs: cfg.Runs,
-	}
-	for r := 0; r < cfg.Runs; r++ {
-		if d := timeOnce(ir.VerifyOff); agg.NsOff == 0 || d < agg.NsOff {
-			agg.NsOff = d
-		}
-		if d := timeOnce(ir.VerifyFast); agg.NsFast == 0 || d < agg.NsFast {
-			agg.NsFast = d
-		}
+		NsOff: off.min.Nanoseconds(), NsFast: fast.min.Nanoseconds(),
 	}
 	if agg.NsOff > 0 {
 		agg.OverheadPct = 100 * float64(agg.NsFast-agg.NsOff) / float64(agg.NsOff)

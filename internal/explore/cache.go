@@ -7,6 +7,7 @@ import (
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/lsh"
+	"fmsa/internal/par"
 )
 
 // rankCache maintains, for every function awaiting its worklist pop, a
@@ -54,7 +55,7 @@ type rankCache struct {
 
 // rankList mirrors the session's warmList invariant inside one run: the
 // live entries of cands are an exact prefix of the owner's full current
-// ranking above MinSimilarity (restricted, in LSH mode, to the probe
+// ranking above minSimilarity (restricted, in LSH mode, to the probe
 // relation), and complete reports that they are the entire qualifying set
 // rather than a depth-bounded window. Entries of consumed functions linger
 // until purge.
@@ -105,12 +106,12 @@ func newRankCache(r *runner, t int) *rankCache {
 			sigs[j] = ls.sigs[id]
 		}
 		probes := ls.idx.ProbeBatch(sigs, selves, r.workers)
-		parallelFor(len(scan), r.workers, func(j int) {
+		par.For(len(scan), r.workers, func(j int) {
 			i := scan[j]
 			built[i] = c.finishScan(int(i), c.rankIDsDepth(r.pool[i], probes[j], depth))
 		})
 	} else {
-		parallelFor(len(scan), r.workers, func(j int) {
+		par.For(len(scan), r.workers, func(j int) {
 			i := scan[j]
 			built[i] = c.finishScan(int(i), c.scanTopExactDepth(r.pool[i], depth))
 		})
@@ -283,10 +284,10 @@ func (c *rankCache) rankIDsDepth(f *ir.Func, ids []int32, depth int) []candidate
 // fingerprint memory — and, if it survives, exactly scores it and inserts
 // it into best. The prefilters never change the outcome:
 // SimilarityUpperBound dominates the exact score, so a candidate filtered
-// against MinSimilarity (or against the current t-th entry of a full list)
+// against minSimilarity (or against the current t-th entry of a full list)
 // could not have entered the list anyway.
 func (r *runner) consider(fp *fingerprint.Fingerprint, best []candidate, g *ir.Func, fpg *fingerprint.Fingerprint, sg int32, t int, skips *int64) []candidate {
-	floor := r.opts.MinSimilarity
+	floor := minSimilarity
 	if len(best) == t && best[len(best)-1].sim > floor {
 		floor = best[len(best)-1].sim
 	}
@@ -321,7 +322,7 @@ func (c *rankCache) offer(owner *ir.Func, rl *rankList, g *ir.Func, fpg *fingerp
 	if !samePartition(r.opts, owner, g) {
 		return
 	}
-	if ls := r.lsh; ls != nil && !lsh.Collide(ls.sigOf(owner), ls.sigOf(g), ls.params) {
+	if ls := r.lsh; ls != nil && !lsh.Collide(ls.sigOf(owner), ls.sigOf(g)) {
 		return
 	}
 	atomic.AddInt64(&r.rankProbes, 1)
@@ -331,7 +332,7 @@ func (c *rankCache) offer(owner *ir.Func, rl *rankList, g *ir.Func, fpg *fingerp
 	// (full window), so it may be dropped as soon as any bound falls
 	// below the tail (insert breaks a tail tie by size, so equality must
 	// still go the long way).
-	floor := r.opts.MinSimilarity
+	floor := minSimilarity
 	if len(rl.cands) > 0 && (len(rl.cands) >= c.depth || !rl.complete) {
 		if last := rl.cands[len(rl.cands)-1].sim; last > floor {
 			floor = last

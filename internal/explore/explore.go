@@ -20,7 +20,7 @@ import (
 	"fmsa/internal/core"
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
-	"fmsa/internal/lsh"
+	"fmsa/internal/par"
 	"fmsa/internal/passes"
 	"fmsa/internal/tti"
 )
@@ -47,8 +47,6 @@ type Options struct {
 	// MaxHotness, when positive, excludes functions whose profile weight
 	// exceeds it (the §V-D profile-guided mitigation).
 	MaxHotness uint64
-	// MinSimilarity prunes candidate pairs below this fingerprint score.
-	MinSimilarity float64
 	// Partition, when non-nil, restricts merging to function pairs in the
 	// same partition — modelling per-translation-unit optimization instead
 	// of whole-program LTO (§IV-B). Functions missing from the map share
@@ -75,9 +73,6 @@ type Options struct {
 	// scan would have found. The unbounded oracle ranks nothing and ignores
 	// this knob.
 	Ranking RankingMode
-	// LSH configures the banded MinHash index used by RankLSH; the zero
-	// value selects lsh.DefaultParams.
-	LSH lsh.Params
 	// LSHMinPool is the initial-pool-size cutoff below which RankLSH falls
 	// back to the exact scan. Zero selects DefaultLSHMinPool; exploration
 	// never re-evaluates the cutoff as merges shrink the pool.
@@ -92,12 +87,6 @@ type Options struct {
 	// AlignMemoCap bounds the memo's entry count; zero selects
 	// DefaultAlignMemoCap.
 	AlignMemoCap int
-	// NoBound disables pre-codegen profitability bounding: every aligned
-	// candidate pair is materialized and priced exactly, as before PR 5.
-	// Bounding never changes merge decisions either way — a pruned pair is
-	// one the exact cost model would have rejected — so this knob only
-	// trades compile time.
-	NoBound bool
 	// Verify gates IR through the staged verifier (ir.VerifyFuncLevel):
 	// every winning merged function is verified before the audit gate, and
 	// the final module is verified once after the run. Like committed-mode
@@ -110,12 +99,16 @@ type Options struct {
 // target) with parallelism across all available cores.
 func DefaultOptions() Options {
 	return Options{
-		Threshold:     1,
-		Target:        tti.X86{},
-		Merge:         core.DefaultOptions(),
-		MinSimilarity: 1e-9,
+		Threshold: 1,
+		Target:    tti.X86{},
+		Merge:     core.DefaultOptions(),
 	}
 }
+
+// minSimilarity is the fingerprint-score floor below which a pair is never
+// ranked as a candidate: it drops exactly the zero-score pairs, which share
+// no opcode or no type.
+const minSimilarity = 1e-9
 
 // Phases is the per-phase breakdown of an exploration run (Fig. 13).
 // Fingerprint, Ranking and UpdateCalls are wall-clock; Linearize, Align and
@@ -208,8 +201,8 @@ type Report struct {
 	AlignMemoHits, AlignMemoMisses int64
 	// BoundEvals counts pre-codegen profitability-bound evaluations and
 	// CodegenSkips the subset that skipped merged-function materialization
-	// outright. Zero when Options.NoBound is set. Scheduling-dependent under
-	// Workers > 1, like the cache counters above.
+	// outright. Scheduling-dependent under Workers > 1, like the cache
+	// counters above.
 	BoundEvals, CodegenSkips int64
 	// VerifiedFuncs counts functions run through the staged IR verifier
 	// (winning merged functions plus the final whole-module pass). Zero when
@@ -308,7 +301,7 @@ type runner struct {
 	// snapshots rankings. Invalidated alongside seqs (same stale set).
 	costs *tti.CostMemo
 	// rankProbes and rankSkips accumulate scan counters atomically (scans
-	// run inside parallelFor); flushRankCounters folds them into rep. The
+	// run inside par.For); flushRankCounters folds them into rep. The
 	// totals are deterministic: the same set of scans runs at every Workers
 	// value.
 	rankProbes, rankSkips int64
@@ -339,7 +332,7 @@ func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
 	r := &runner{
 		m:       m,
 		opts:    opts,
-		workers: workerCount(opts.Workers),
+		workers: par.Workers(opts.Workers),
 		rep:     &Report{SizeBefore: tti.ModuleSize(opts.Target, m)},
 		seed:    seed,
 	}
@@ -370,7 +363,7 @@ func setupSeeded(m *ir.Module, opts Options, seed *warmSeed) *runner {
 		}
 		copy(fpByIdx, seed.fps)
 	} else {
-		parallelFor(len(r.pool), r.workers, func(i int) {
+		par.For(len(r.pool), r.workers, func(i int) {
 			fpByIdx[i] = fingerprint.Compute(r.pool[i])
 		})
 	}

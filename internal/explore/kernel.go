@@ -27,6 +27,7 @@ import (
 	"fmsa/internal/encode"
 	"fmsa/internal/ir"
 	"fmsa/internal/linearize"
+	"fmsa/internal/par"
 	"fmsa/internal/tti"
 )
 
@@ -51,10 +52,10 @@ func (r *runner) setupInterner() {
 // never pays for it; the encoding wall time lands in the Linearize phase via
 // the shared Timings.
 func (r *runner) setupCaches() {
-	// The cost memo serves ProfitWithStatsMemo even when bounding is off
-	// (Options.NoBound only disables the pre-codegen prune); invalidation
-	// shares the linearization cache's stale set — a rewritten call site
-	// changes a caller's size just like it changes its sequence.
+	// The cost memo serves both the pre-codegen bound and
+	// ProfitWithStatsMemo, even with NoCaches set; invalidation shares the
+	// linearization cache's stale set — a rewritten call site changes a
+	// caller's size just like it changes its sequence.
 	r.costs = tti.NewCostMemo()
 	if r.opts.NoCaches {
 		return
@@ -66,7 +67,7 @@ func (r *runner) setupCaches() {
 		timings: r.opts.Merge.Timings,
 	}
 	encs := make([]*encode.Encoded, len(r.pool))
-	parallelFor(len(r.pool), r.workers, func(i int) {
+	par.For(len(r.pool), r.workers, func(i int) {
 		encs[i] = r.encodeFunc(r.pool[i])
 	})
 	for i, f := range r.pool {

@@ -96,30 +96,27 @@ func TestParallelDeterminism(t *testing.T) {
 			o.AlignMemoCap = 2
 			return o
 		}()},
-		// Pre-codegen bounding must be decision-invisible: the bound-off
-		// configs here must match their bound-on twins above bit for bit
+		// Pre-codegen bounding must be decision-invisible: the unpruned
+		// configs here must match their pruning twins above bit for bit
 		// (the cross-config agreement is asserted separately by
 		// TestBoundDecisionInvariance), and each must be Workers-invariant
 		// on its own.
-		{"greedy-t10-nobound", func() Options {
+		{"greedy-t10-unpruned", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 10
-			o.NoBound = true
-			return o
+			return unpruned(o)
 		}()},
-		{"greedy-thumb-nobound", func() Options {
+		{"greedy-thumb-unpruned", func() Options {
 			o := DefaultOptions()
 			o.Threshold = 5
 			o.Target = tti.Thumb{}
-			o.NoBound = true
-			return o
+			return unpruned(o)
 		}()},
-		{"oracle-cap8-nobound", func() Options {
+		{"oracle-cap8-unpruned", func() Options {
 			o := DefaultOptions()
 			o.Oracle = true
 			o.OracleCap = 8
-			o.NoBound = true
-			return o
+			return unpruned(o)
 		}()},
 	}
 	for _, cfg := range configs {
@@ -164,13 +161,37 @@ func TestParallelDeterminism(t *testing.T) {
 			if serialMod != parMod {
 				t.Error("final module text diverges between Workers=1 and Workers=8")
 			}
+			if cfg.opts.Merge.BoundAudit != nil {
+				for _, rep := range []*Report{serial, par} {
+					assertUnpruned(t, rep)
+				}
+			}
 		})
 	}
 }
 
+// unpruned installs a no-op bound-audit hook: every pair still has its
+// bound evaluated, but none is pruned, so every aligned pair is materialized
+// and priced exactly — the reference the pruning pipeline must match.
+func unpruned(o Options) Options {
+	o.Merge.BoundAudit = func(_, _ *ir.Func, _, _ int) {}
+	return o
+}
+
+// assertUnpruned checks that an unpruned run evaluated bounds (so the
+// comparison is not vacuous) and skipped no code generation.
+func assertUnpruned(t *testing.T, rep *Report) {
+	t.Helper()
+	if rep.BoundEvals == 0 || rep.CodegenSkips != 0 {
+		t.Errorf("unpruned run: %d bound evals, %d codegen skips; want > 0 and 0",
+			rep.BoundEvals, rep.CodegenSkips)
+	}
+}
+
 // TestBoundDecisionInvariance is the transparency requirement of pre-codegen
-// profitability bounding (PR 5): bounding on and off must commit the same
-// merge sequence and produce the same module — the bound only skips
+// profitability bounding: the pruning pipeline and an unpruned run (a no-op
+// BoundAudit hook, which materializes every pair) must commit the
+// same merge sequence and produce the same module — the bound only skips
 // materializing candidates the exact cost model would reject anyway. Also
 // asserts the prune actually fires on this clone-rich workload, so the
 // equality is not vacuous.
@@ -195,28 +216,23 @@ func TestBoundDecisionInvariance(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			on, onMod := exploreWith(t, cfg.opts, 4, 7)
-			off := cfg.opts
-			off.NoBound = true
-			noB, noBMod := exploreWith(t, off, 4, 7)
+			ref, refMod := exploreWith(t, unpruned(cfg.opts), 4, 7)
 
-			if !reflect.DeepEqual(on.Records, noB.Records) {
-				t.Errorf("merge records diverge with bounding:\non:  %+v\noff: %+v",
-					on.Records, noB.Records)
+			if !reflect.DeepEqual(on.Records, ref.Records) {
+				t.Errorf("merge records diverge with pruning:\npruned:   %+v\nunpruned: %+v",
+					on.Records, ref.Records)
 			}
-			if on.SizeAfter != noB.SizeAfter {
-				t.Errorf("final size diverges: %d (bound) vs %d (nobound)",
-					on.SizeAfter, noB.SizeAfter)
+			if on.SizeAfter != ref.SizeAfter {
+				t.Errorf("final size diverges: %d (pruned) vs %d (unpruned)",
+					on.SizeAfter, ref.SizeAfter)
 			}
-			if onMod != noBMod {
-				t.Error("final module text diverges between bounding on and off")
+			if onMod != refMod {
+				t.Error("final module text diverges between pruned and unpruned runs")
 			}
-			if on.BoundEvals == 0 {
-				t.Error("bounding enabled but no bound evaluations recorded")
+			if on.CodegenSkips == 0 {
+				t.Error("pruning run skipped no code generation")
 			}
-			if noB.BoundEvals != 0 || noB.CodegenSkips != 0 {
-				t.Errorf("NoBound run still counted bounds: %d evals, %d skips",
-					noB.BoundEvals, noB.CodegenSkips)
-			}
+			assertUnpruned(t, ref)
 		})
 	}
 }

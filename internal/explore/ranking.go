@@ -15,7 +15,7 @@ package explore
 // and probe results are sorted ascending — so LSH rankings, like exact ones,
 // are bit-identical for every Workers value. Both paths are additionally
 // guarded by alignment-avoidance prefilters (fingerprint.SimilarityUpperBound
-// against MinSimilarity and the current t-th candidate), which never change
+// against minSimilarity and the current t-th candidate), which never change
 // the resulting ranking — a candidate whose cheap upper bound is already too
 // low cannot enter the list.
 
@@ -26,6 +26,7 @@ import (
 	"fmsa/internal/fingerprint"
 	"fmsa/internal/ir"
 	"fmsa/internal/lsh"
+	"fmsa/internal/par"
 )
 
 // RankingMode selects how candidate rankings are produced.
@@ -72,8 +73,7 @@ const DefaultLSHMinPool = 512
 // index plus the signature and id bookkeeping that keeps it consistent as
 // commits retire pool functions and add merged ones.
 type lshState struct {
-	params lsh.Params
-	idx    *lsh.Index
+	idx *lsh.Index
 	// sigs and fps are indexed by member id. On a cold run ids are pool
 	// insertion indices, so both are parallel to runner.pool (nil after
 	// pool[i] is consumed); on a warm run ids are the session's stable
@@ -121,16 +121,14 @@ func (r *runner) initLSH() {
 		return
 	}
 	ls := &lshState{
-		params: r.opts.LSH,
-		sigs:   make([]*fingerprint.Signature, len(r.pool)),
-		fps:    make([]*fingerprint.Fingerprint, len(r.pool)),
-		id:     make(map[*ir.Func]int32, len(r.pool)),
+		sigs: make([]*fingerprint.Signature, len(r.pool)),
+		fps:  make([]*fingerprint.Fingerprint, len(r.pool)),
+		id:   make(map[*ir.Func]int32, len(r.pool)),
 	}
-	parallelFor(len(r.pool), r.workers, func(i int) {
+	par.For(len(r.pool), r.workers, func(i int) {
 		ls.sigs[i] = fingerprint.ComputeSignature(r.pool[i])
 	})
-	ls.idx = lsh.NewSized(ls.params, len(r.pool))
-	ls.params = ls.idx.Params() // normalized
+	ls.idx = lsh.NewSized(len(r.pool))
 	for i, f := range r.pool {
 		ls.fps[i] = r.poolFPs[i]
 		ls.id[f] = int32(i)

@@ -49,6 +49,7 @@ import (
 	"fmsa/internal/global"
 	"fmsa/internal/ir"
 	"fmsa/internal/lsh"
+	"fmsa/internal/par"
 	"fmsa/internal/passes"
 	"fmsa/internal/simdb"
 	"fmsa/internal/tti"
@@ -144,10 +145,9 @@ type Session struct {
 	lastLSH bool
 	submits int
 
-	idx       *lsh.Index
-	lshParams lsh.Params
-	sigsByID  []*fingerprint.Signature
-	byID      []*sessEntry
+	idx      *lsh.Index
+	sigsByID []*fingerprint.Signature
+	byID     []*sessEntry
 
 	delta DeltaStats
 }
@@ -225,7 +225,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	workers := workerCount(s.opts.Workers)
+	workers := par.Workers(s.opts.Workers)
 	delta := DeltaStats{Warm: s.submits > 0}
 	tDiff := time.Now()
 
@@ -244,7 +244,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	keysBuf := make([][]byte, n)
 	selfEqs := make([]bool, n)
 	hashes := make([]uint64, n)
-	parallelFor(n, workers, func(i int) {
+	par.For(n, workers, func(i int) {
 		k, se := global.AppendStableKey(nil, pool[i])
 		keysBuf[i] = k
 		selfEqs[i] = se
@@ -300,7 +300,7 @@ func (s *Session) Submit(m *ir.Module) (*Report, DeltaStats, error) {
 	tFP := time.Now()
 	diffTime := tFP.Sub(tDiff)
 	var storeHits, storeMisses int64
-	parallelFor(len(fresh), workers, func(j int) {
+	par.For(len(fresh), workers, func(j int) {
 		i := fresh[j]
 		e := entriesByIdx[i]
 		if s.cfg.Store != nil {
@@ -461,8 +461,7 @@ func (s *Session) dropIndex() {
 func (s *Session) maintainIndex(pool []*ir.Func, class []int, entriesByIdx []*sessEntry, removed []*sessEntry, workers int) {
 	var need []int32
 	if s.idx == nil {
-		s.idx = lsh.NewSized(s.opts.LSH, len(pool))
-		s.lshParams = s.idx.Params()
+		s.idx = lsh.NewSized(len(pool))
 		s.sigsByID = nil
 		s.byID = nil
 		need = make([]int32, 0, len(pool))
@@ -484,7 +483,7 @@ func (s *Session) maintainIndex(pool []*ir.Func, class []int, entriesByIdx []*se
 			}
 		}
 	}
-	parallelFor(len(need), workers, func(j int) {
+	par.For(len(need), workers, func(j int) {
 		e := entriesByIdx[need[j]]
 		if e.sig == nil {
 			e.sig = fingerprint.ComputeSignature(pool[need[j]])
@@ -596,8 +595,7 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 			}
 		}
 	}
-	minSim := s.opts.MinSimilarity
-	parallelFor(len(pool), workers, func(i int) {
+	par.For(len(pool), workers, func(i int) {
 		e := entriesByIdx[i]
 		if class[i] != clsUnchanged || e.list == nil {
 			return
@@ -606,7 +604,7 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 		wl.prune(keep)
 		apply := func(o offer) {
 			ub := fingerprint.SimilarityUpperBound(e.fp, o.fp)
-			if ub < minSim {
+			if ub < minSimilarity {
 				return
 			}
 			if len(wl.cands) > 0 {
@@ -616,7 +614,7 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 				}
 			}
 			sim := fingerprint.Similarity(e.fp, o.fp)
-			if sim < minSim {
+			if sim < minSimilarity {
 				return
 			}
 			c := o.cand
@@ -649,7 +647,6 @@ func (s *Session) reconcileLists(pool []*ir.Func, class []int, entriesByIdx []*s
 func (s *Session) runnerLSHState(pool []*ir.Func, entriesByIdx []*sessEntry) *lshState {
 	live := len(s.sigsByID)
 	ls := &lshState{
-		params:  s.lshParams,
 		idx:     s.idx,
 		sigs:    s.sigsByID,
 		fps:     make([]*fingerprint.Fingerprint, live),

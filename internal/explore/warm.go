@@ -189,7 +189,7 @@ type warmCand struct {
 
 // warmList is one owner's stored initial candidate list at the session's
 // storage depth (2t). complete reports that the list holds the owner's
-// entire candidate set above MinSimilarity — not just a depth-bounded
+// entire candidate set above minSimilarity — not just a depth-bounded
 // prefix — so evictions can never expose an unstored candidate.
 type warmList struct {
 	cands    []warmCand
@@ -292,7 +292,7 @@ type warmSeed struct {
 	scanDepth int
 	// onScan receives every setup-built list at scanDepth, before
 	// truncation to t, so the session can store it. Invoked from
-	// parallelFor with distinct pool indices; it must touch only
+	// par.For with distinct pool indices; it must touch only
 	// per-owner state.
 	onScan func(poolIdx int, cands []candidate)
 	// lsh, when non-nil, is the warm index state (session member ids).

@@ -6,6 +6,7 @@ import (
 
 	"fmsa/internal/core"
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 	"fmsa/internal/passes"
 	"fmsa/internal/tti"
 )
@@ -21,12 +22,6 @@ type Options struct {
 	// Workers bounds goroutines in the summarize and evaluation fan-outs;
 	// <= 0 means GOMAXPROCS. Results never depend on it.
 	Workers int
-	// MinJaccard / FoldMinInsts / LSH feed the planner (see PlanOptions).
-	MinJaccard   float64
-	FoldMinInsts int
-	// NoBound disables the pre-codegen profitability bound (PR-5); pairs
-	// the bound would prune are then rejected by the exact model instead.
-	NoBound bool
 }
 
 // DefaultOptions returns the standard configuration.
@@ -95,12 +90,12 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	workers := workerCount(opts.Workers)
+	workers := par.Workers(opts.Workers)
 	rep := &Report{TUs: len(units), Shards: opts.Shards}
 
 	// Round 1: demote phis (core.Merge precondition, per-unit local), then
 	// summarize in parallel.
-	parallelFor(len(units), workers, func(i int) {
+	par.For(len(units), workers, func(i int) {
 		passes.DemotePhisModule(units[i])
 	})
 	for _, u := range units {
@@ -109,10 +104,7 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 	}
 	sums := Summarize(units, workers)
 
-	plan := BuildPlan(sums, PlanOptions{
-		MinJaccard:   opts.MinJaccard,
-		FoldMinInsts: opts.FoldMinInsts,
-	})
+	plan := BuildPlan(sums)
 	rep.ProbePairs = plan.ProbePairs
 	rep.PairsPlanned = len(plan.Pairs)
 
@@ -145,15 +137,13 @@ func Run(units []*ir.Module, opts Options) (*ir.Module, *Report, error) {
 				wave = append(wave, i)
 			}
 		}
-		parallelFor(len(wave), workers, func(w int) {
+		par.For(len(wave), workers, func(w int) {
 			st := &states[wave[w]]
 			mo := core.DefaultOptions()
 			mo.NamePrefix = "gm"
 			mo.Timings = timings
-			if !opts.NoBound {
-				mo.Prune = &core.PruneSpec{
-					Target: opts.Target, S1: stats, S2: stats, Costs: memo,
-				}
+			mo.Prune = &core.PruneSpec{
+				Target: opts.Target, S1: stats, S2: stats, Costs: memo,
 			}
 			res, err := core.Merge(st.f1, st.f2, mo)
 			if err != nil {

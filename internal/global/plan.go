@@ -49,29 +49,14 @@ type Plan struct {
 	ProbePairs int
 }
 
-// PlanOptions tune candidate selection.
-type PlanOptions struct {
-	// MinJaccard is the summary-estimate floor for planning a merge pair.
-	// Zero means the default 0.5.
-	MinJaccard float64
-	// FoldMinInsts is the minimum definition size worth thunking to a
-	// structurally identical leader. Zero means the default 4.
-	FoldMinInsts int
-	// LSH overrides the banding parameters; zero means lsh.DefaultParams.
-	LSH lsh.Params
-}
-
-func (o *PlanOptions) defaults() {
-	if o.MinJaccard <= 0 {
-		o.MinJaccard = 0.5
-	}
-	if o.FoldMinInsts <= 0 {
-		o.FoldMinInsts = 4
-	}
-	if o.LSH.Bands == 0 || o.LSH.Rows == 0 {
-		o.LSH = lsh.DefaultParams()
-	}
-}
+// Candidate-selection floors of the planner.
+const (
+	// minJaccard is the summary-estimate floor for planning a merge pair.
+	minJaccard = 0.5
+	// foldMinInsts is the minimum definition size worth thunking to a
+	// structurally identical leader.
+	foldMinInsts = 4
+)
 
 // localOnly reports that a function's behavior depends on module-local
 // state, pinning any cross-unit role it could play.
@@ -83,8 +68,7 @@ func localOnly(fs *wire.FuncSummary) bool {
 // traversal order is the summaries' own order (unit index, then definition
 // index), every grouping key is content-derived, and ties break on that
 // global order — the plan is deterministic and shard-free.
-func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
-	opts.defaults()
+func BuildPlan(tus []wire.TUSummary) *Plan {
 	plan := &Plan{}
 
 	// Flatten with global indices, and collect every definition name for
@@ -126,7 +110,7 @@ func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
 	foldable := func(e entry) bool {
 		return e.fs.Flags&wire.SumSelfEq != 0 &&
 			e.fs.Flags&wire.SumVariadic == 0 &&
-			e.fs.Size >= opts.FoldMinInsts &&
+			e.fs.Size >= foldMinInsts &&
 			e.fs.Name != "main"
 	}
 
@@ -190,7 +174,7 @@ func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
 
 	// Pairs: LSH over the summary signatures, greedy forward matching in
 	// global order, best candidate by (estimated Jaccard desc, index asc).
-	index := lsh.New(opts.LSH)
+	index := lsh.New()
 	sigs := make([]*fingerprint.Signature, len(entries))
 	for gi := range entries {
 		if used[gi] {
@@ -234,7 +218,7 @@ func BuildPlan(tus []wire.TUSummary, opts PlanOptions) *Plan {
 				best, bestJac = ci, jac
 			}
 		}
-		if best == -1 || bestJac < opts.MinJaccard {
+		if best == -1 || bestJac < minJaccard {
 			continue
 		}
 		g := entries[best]

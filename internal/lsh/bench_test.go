@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"reflect"
 	"testing"
 
 	"fmsa/internal/fingerprint"
@@ -33,7 +34,7 @@ func BenchmarkLSHRehydrate(b *testing.B) {
 	b.Run("sized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix := NewSized(Params{}, n)
+			ix := NewSized(n)
 			for id, s := range sigs {
 				ix.Insert(int32(id), s)
 			}
@@ -42,26 +43,20 @@ func BenchmarkLSHRehydrate(b *testing.B) {
 	b.Run("unsized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix := New(Params{})
+			ix := New()
 			for id, s := range sigs {
 				ix.Insert(int32(id), s)
 			}
 		}
 	})
-	b.Run("bulk", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			NewFromSignatures(Params{}, sigs)
-		}
-	})
 	keys := make([][]uint64, n)
 	for id, s := range sigs {
-		keys[id] = AppendBandKeys(Params{}, s, nil)
+		keys[id] = AppendBandKeys(s, nil)
 	}
 	b.Run("keyed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			NewFromBandKeys(Params{}, keys)
+			NewFromBandKeys(keys)
 		}
 	})
 }
@@ -69,7 +64,7 @@ func BenchmarkLSHRehydrate(b *testing.B) {
 // TestNewSizedMatchesNew pins that pre-sizing is invisible to index state.
 func TestNewSizedMatchesNew(t *testing.T) {
 	sigs := syntheticSigs(64)
-	a, b := New(Params{}), NewSized(Params{}, len(sigs))
+	a, b := New(), NewSized(len(sigs))
 	for id, s := range sigs {
 		a.Insert(int32(id), s)
 		b.Insert(int32(id), s)
@@ -88,74 +83,25 @@ func TestNewSizedMatchesNew(t *testing.T) {
 	}
 }
 
-// TestNewFromSignaturesMatchesInserts pins that bulk construction produces the
-// same index state as an ascending Insert loop — including nil gaps (unsigned
-// records) — and that the bulk-built index still mutates correctly afterwards
-// (Remove must find every band bucket, Insert must not collide with arenas).
-func TestNewFromSignaturesMatchesInserts(t *testing.T) {
-	sigs := syntheticSigs(97)
-	sigs[3], sigs[40], sigs[96] = nil, nil, nil // unsigned gaps
-	want := New(Params{})
-	for id, s := range sigs {
-		if s != nil {
-			want.Insert(int32(id), s)
-		}
-	}
-	got := NewFromSignatures(Params{}, sigs)
-	check := func(stage string) {
-		t.Helper()
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: Len %d != %d", stage, got.Len(), want.Len())
-		}
-		for id, s := range sigs {
-			if s == nil {
-				continue
-			}
-			rg := got.Probe(s, int32(id))
-			rw := want.Probe(s, int32(id))
-			if len(rg) != len(rw) {
-				t.Fatalf("%s: probe %d: %d vs %d results", stage, id, len(rg), len(rw))
-			}
-			for i := range rg {
-				if rg[i] != rw[i] {
-					t.Fatalf("%s: probe %d: result %d differs: %d vs %d", stage, id, i, rg[i], rw[i])
-				}
-			}
-		}
-	}
-	check("bulk")
-	// Mutate both the same way: churn some members, re-add one.
-	for _, id := range []int32{0, 17, 95} {
-		got.Remove(id)
-		want.Remove(id)
-	}
-	got.Insert(17, sigs[17])
-	want.Insert(17, sigs[17])
-	sigs[0], sigs[95] = nil, nil
-	check("after churn")
-}
-
 // TestNewFromBandKeysMatchesInserts pins that the keyed bulk builder — fed
-// AppendBandKeys output — matches both an Insert loop over the signatures and
-// an InsertKeyed loop over the same keys, and keeps mutating correctly.
+// AppendBandKeys output — matches an Insert loop over the signatures, bucket
+// for bucket and probe for probe, and keeps mutating correctly.
 func TestNewFromBandKeysMatchesInserts(t *testing.T) {
 	sigs := syntheticSigs(83)
 	sigs[0], sigs[51] = nil, nil // unsigned gaps
 	keys := make([][]uint64, len(sigs))
 	for id, s := range sigs {
 		if s != nil {
-			keys[id] = AppendBandKeys(Params{}, s, nil)
+			keys[id] = AppendBandKeys(s, nil)
 		}
 	}
-	want := New(Params{})
-	keyed := New(Params{})
+	want := New()
 	for id, s := range sigs {
 		if s != nil {
 			want.Insert(int32(id), s)
-			keyed.InsertKeyed(int32(id), keys[id])
 		}
 	}
-	got := NewFromBandKeys(Params{}, keys)
+	got := NewFromBandKeys(keys)
 	check := func(stage string, ix *Index) {
 		t.Helper()
 		if got.Len() != ix.Len() {
@@ -177,8 +123,10 @@ func TestNewFromBandKeysMatchesInserts(t *testing.T) {
 			}
 		}
 	}
+	if !reflect.DeepEqual(snapshotBuckets(got), snapshotBuckets(want)) {
+		t.Fatal("bulk-built bucket state differs from the Insert loop's")
+	}
 	check("vs insert", want)
-	check("vs insert-keyed", keyed)
 	// Bulk-built indexes must keep mutating correctly: remove members, re-add
 	// one by signature, and stay in lockstep with the Insert-built index.
 	for _, id := range []int32{2, 51, 82} {

@@ -41,7 +41,7 @@ func cloneFamily(t *testing.T, n, k int) []*fingerprint.Signature {
 
 func TestProbeFindsClones(t *testing.T) {
 	sigs := cloneFamily(t, 3, 4)
-	ix := New(Params{})
+	ix := New()
 	for i, s := range sigs {
 		ix.Insert(int32(i), s)
 	}
@@ -70,7 +70,7 @@ func TestProbeFindsClones(t *testing.T) {
 
 func TestRemoveKeepsIndexConsistent(t *testing.T) {
 	sigs := cloneFamily(t, 4, 2)
-	ix := New(DefaultParams())
+	ix := New()
 	for i, s := range sigs {
 		ix.Insert(int32(i), s)
 	}
@@ -103,8 +103,7 @@ func TestRemoveKeepsIndexConsistent(t *testing.T) {
 
 func TestCollideMatchesProbe(t *testing.T) {
 	sigs := cloneFamily(t, 3, 5)
-	p := DefaultParams()
-	ix := New(p)
+	ix := New()
 	for i, s := range sigs {
 		ix.Insert(int32(i), s)
 	}
@@ -117,9 +116,9 @@ func TestCollideMatchesProbe(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if Collide(a, b, p) != probed[int32(j)] {
+			if Collide(a, b) != probed[int32(j)] {
 				t.Errorf("Collide(%d,%d)=%v disagrees with Probe membership %v",
-					i, j, Collide(a, b, p), probed[int32(j)])
+					i, j, Collide(a, b), probed[int32(j)])
 			}
 		}
 	}
@@ -127,7 +126,7 @@ func TestCollideMatchesProbe(t *testing.T) {
 
 func TestProbeBatchMatchesSerialProbe(t *testing.T) {
 	sigs := cloneFamily(t, 4, 4)
-	ix := New(DefaultParams())
+	ix := New()
 	selves := make([]int32, len(sigs))
 	for i, s := range sigs {
 		ix.Insert(int32(i), s)
@@ -142,33 +141,6 @@ func TestProbeBatchMatchesSerialProbe(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestComputeStats(t *testing.T) {
-	sigs := cloneFamily(t, 3, 1)
-	ix := New(DefaultParams())
-	for i, s := range sigs {
-		ix.Insert(int32(i), s)
-	}
-	st := ix.ComputeStats()
-	if st.Members != 4 {
-		t.Errorf("Members = %d, want 4", st.Members)
-	}
-	if st.MaxBucket < 3 {
-		t.Errorf("MaxBucket = %d, want >= 3 (the clone bucket)", st.MaxBucket)
-	}
-	if st.Buckets == 0 {
-		t.Error("no buckets counted")
-	}
-}
-
-func TestInvalidBandingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized banding did not panic")
-		}
-	}()
-	New(Params{Bands: fingerprint.SigLanes, Rows: 2})
 }
 
 // snapshotBuckets deep-copies the index's bucket state for exact comparison.
@@ -191,7 +163,7 @@ func snapshotBuckets(ix *Index) []map[uint64][]int32 {
 // incremental evict/reinsert as equivalent to a rebuild.
 func TestRemoveInsertRestoresState(t *testing.T) {
 	sigs := cloneFamily(t, 4, 4)
-	ix := New(DefaultParams())
+	ix := New()
 	for i, s := range sigs {
 		ix.Insert(int32(i), s)
 	}

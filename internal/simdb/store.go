@@ -62,10 +62,10 @@ type Record struct {
 	// computed a signature; such records rehydrate fingerprints but do not
 	// enter the LSH index.
 	Sig *fingerprint.Signature
-	// Bands holds Sig's LSH band keys under lsh.DefaultParams, computed at
-	// Put time and persisted with the record so Rehydrate files the member
-	// into its buckets without re-hashing any band. Nil for unsigned
-	// records. A change to the default banding (or the band hash) is a
+	// Bands holds Sig's LSH band keys under the lsh.Bands×lsh.Rows banding,
+	// computed at Put time and persisted with the record so Rehydrate files
+	// the member into its buckets without re-hashing any band. Nil for
+	// unsigned records. A change to the banding (or the band hash) is a
 	// segment format change and must bump wire.DBVersion.
 	Bands []uint64
 
@@ -234,7 +234,7 @@ func (s *Store) Put(r Record) {
 		panic("simdb: Put without fingerprint")
 	}
 	if r.Sig != nil && r.Bands == nil {
-		r.Bands = lsh.AppendBandKeys(lsh.Params{}, r.Sig, nil)
+		r.Bands = lsh.AppendBandKeys(r.Sig, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -477,26 +477,22 @@ func sortRecords(recs []*Record) {
 // Rehydrate builds a banded LSH index over the live set without recomputing
 // any signature: records are assigned dense ids in canonical order (the
 // index into the returned slice) and every signed record is inserted —
-// straight from its persisted band keys when the record carries a full set
-// for p's banding, re-hashed from the signature otherwise. Unsigned records
-// appear in the slice but not the index.
-func (s *Store) Rehydrate(p lsh.Params) (*lsh.Index, []*Record) {
+// straight from its persisted band keys when the record carries a full set,
+// re-hashed from the signature otherwise (a segment read from disk may hold
+// a record whose stored key count is wrong). Unsigned records appear in the
+// slice but not the index.
+func (s *Store) Rehydrate() (*lsh.Index, []*Record) {
 	liveRecs := s.Live()
-	// Persisted band keys are computed under the default banding; any other
-	// banding re-hashes from the signatures (a matching band count alone
-	// would not prove matching row grouping).
-	stored := p == lsh.Params{} || p == lsh.DefaultParams()
-	nb := p.NumBands()
 	keys := make([][]uint64, len(liveRecs))
 	for id, r := range liveRecs {
 		switch {
-		case stored && len(r.Bands) == nb:
+		case len(r.Bands) == lsh.Bands:
 			keys[id] = r.Bands
 		case r.Sig != nil:
-			keys[id] = lsh.AppendBandKeys(p, r.Sig, nil)
+			keys[id] = lsh.AppendBandKeys(r.Sig, nil)
 		}
 	}
-	return lsh.NewFromBandKeys(p, keys), liveRecs
+	return lsh.NewFromBandKeys(keys), liveRecs
 }
 
 // Stats is a point-in-time summary of store and segment state.

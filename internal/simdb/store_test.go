@@ -88,8 +88,8 @@ func probeAll(t *testing.T, got, want *lsh.Index, recs []*Record) {
 
 // fromScratch builds the reference index the way a cold run would: insert
 // every signed live record in canonical id order into a fresh index.
-func fromScratch(p lsh.Params, recs []*Record) *lsh.Index {
-	ix := lsh.New(p)
+func fromScratch(recs []*Record) *lsh.Index {
+	ix := lsh.New()
 	for id, r := range recs {
 		if r.Sig != nil {
 			ix.Insert(int32(id), r.Sig)
@@ -178,7 +178,7 @@ func TestStoreNeverResurrects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, liveRecs := re.Rehydrate(lsh.Params{})
+	ix, liveRecs := re.Rehydrate()
 	for _, r := range liveRecs {
 		if removed[r.Hash] {
 			t.Fatalf("tombstoned %s resurrected after compact+reopen", r.Name)
@@ -197,7 +197,39 @@ func TestStoreNeverResurrects(t *testing.T) {
 			}
 		}
 	}
-	probeAll(t, ix, fromScratch(lsh.Params{}, liveRecs), liveRecs)
+	probeAll(t, ix, fromScratch(liveRecs), liveRecs)
+}
+
+// TestRehydrateRehashesWrongKeyCount pins Rehydrate's guard for segments
+// read from disk: a record whose stored band-key count is not lsh.Bands is
+// re-hashed from its signature, so the index still matches a from-scratch
+// build.
+func TestRehydrateRehashesWrongKeyCount(t *testing.T) {
+	s := tmpStore(t, Options{})
+	for i, r := range genRecords(t, 12, 0) {
+		if i%4 == 1 {
+			r.Bands = []uint64{0xabc, 42} // too few keys
+		}
+		s.Put(r)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(s.Path(), "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, liveRecs := re.Rehydrate()
+	short := 0
+	for _, r := range liveRecs {
+		if len(r.Bands) != lsh.Bands {
+			short++
+		}
+	}
+	if short == 0 {
+		t.Fatal("no wrong-count key set survived the segment round trip")
+	}
+	probeAll(t, ix, fromScratch(liveRecs), liveRecs)
 }
 
 // TestStoreDeterministicBytes pins that one flush of one batch produces
@@ -247,8 +279,8 @@ func TestStoreRandomOpsMatchModel(t *testing.T) {
 				t.Fatalf("step %d: %s live but not in model", step, r.Name)
 			}
 		}
-		ix, liveRecs := s.Rehydrate(lsh.Params{})
-		probeAll(t, ix, fromScratch(lsh.Params{}, liveRecs), liveRecs)
+		ix, liveRecs := s.Rehydrate()
+		probeAll(t, ix, fromScratch(liveRecs), liveRecs)
 	}
 
 	for step := 0; step < 200; step++ {

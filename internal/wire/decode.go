@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 )
 
 // Options configure ReadModule.
@@ -644,10 +644,7 @@ func Decode(data []byte, opts Options) (*ir.Module, error) {
 	}
 	d := &decoder{m: ir.NewModule(string(name))}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(opts.Workers)
 
 	type bodyJob struct {
 		fi   int

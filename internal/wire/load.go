@@ -3,11 +3,9 @@ package wire
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fmsa/internal/ir"
+	"fmsa/internal/par"
 )
 
 // DecodeAny parses data as fmir when it begins with the magic bytes and as
@@ -40,9 +38,7 @@ func LoadFile(path string, workers int) (*ir.Module, error) {
 // parallelism budget goes to the file level (each file decodes its bodies
 // serially); a single file gets the full budget for body decode instead.
 func LoadFiles(paths []string, workers int) ([]*ir.Module, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	if len(paths) == 1 {
 		m, err := LoadFile(paths[0], workers)
 		if err != nil {
@@ -50,28 +46,11 @@ func LoadFiles(paths []string, workers int) ([]*ir.Module, error) {
 		}
 		return []*ir.Module{m}, nil
 	}
-	fileWorkers := workers
-	if fileWorkers > len(paths) {
-		fileWorkers = len(paths)
-	}
 	mods := make([]*ir.Module, len(paths))
 	errs := make([]error, len(paths))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fileWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				mods[i], errs[i] = LoadFile(paths[i], 1)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(paths), workers, func(i int) {
+		mods[i], errs[i] = LoadFile(paths[i], 1)
+	})
 	// Report the first failure in argument order for deterministic output.
 	for _, err := range errs {
 		if err != nil {

@@ -81,8 +81,8 @@ const DBSelfEq byte = 1 << 0
 var DBMagic = [4]byte{'F', 'M', 'D', 'B'}
 
 // DBVersion is the fmdb format version this package reads and writes.
-// Segments persist global.StableHash values and default-banding LSH band
-// keys, so the stable-hash algorithm and lsh.DefaultParams are part of the
+// Segments persist global.StableHash values and LSH band keys, so the
+// stable-hash algorithm and the lsh.Bands×lsh.Rows banding are part of the
 // format: a change to either must bump this so stale segments are rejected
 // instead of silently mis-comparing. v1 hashes with the 8-byte-block FNV-1a
 // + splitmix64-finalizer fnv64.

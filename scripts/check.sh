@@ -20,7 +20,11 @@
 #    pipeline boundary on the quick corpus, verification never changes
 #    merge decisions, and the fast level stays within its overhead budget.
 #  - rank/kernels/bound/ingest: the cross-check experiments (LSH recall,
-#    bound admissibility, fmir ingest bit-identity). The kernels gate
+#    bound admissibility, fmir ingest bit-identity). The bound gate runs
+#    each corpus twice: the pruning pipeline, and an audit run
+#    (core.Options.BoundAudit) that prunes nothing and checks every usable
+#    bound against the exact profit; the audit run is the reference the
+#    pruning run must match bit for bit. The kernels gate
 #    checks, per corpus, that exploring with the linearization cache and
 #    alignment memo commits bit-identical merges to exploring with
 #    NoCaches, and that the interned codes the kernels compare encode

@@ -31,7 +31,7 @@ import (
 // and randomness reads.
 var purePackages = []string{
 	"align", "analysis", "callgraph", "encode", "fingerprint", "global",
-	"interp", "ir", "linearize", "lsh", "passes", "profile", "simdb",
+	"interp", "ir", "linearize", "lsh", "par", "passes", "profile", "simdb",
 	"stats", "tti", "wire",
 }
 
